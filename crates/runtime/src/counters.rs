@@ -95,10 +95,9 @@ fn register_worker_monotonic(
                 let Some(inner) = weak.upgrade() else {
                     return 0;
                 };
-                let stats = &inner.state.stats;
                 (match sel {
-                    Sel::Total => stats.iter().map(|s| read(s)).sum::<u64>(),
-                    Sel::One(w) => read(&stats[w]),
+                    Sel::Total => inner.state.total(read),
+                    Sel::One(w) => read(&inner.state.stats[w]),
                 }) as i64
             });
             let info = CounterInfo::new(
@@ -177,13 +176,12 @@ fn register_worker_average(
                 let Some(inner) = weak.upgrade() else {
                     return (0, 0);
                 };
-                let stats = &inner.state.stats;
                 match sel {
-                    Sel::Total => stats.iter().fold((0, 0), |(s, c), w| {
+                    Sel::Total => inner.state.all_stats().fold((0, 0), |(s, c), w| {
                         let (ws, wc) = read(w);
                         (s + ws, c + wc)
                     }),
-                    Sel::One(w) => read(&stats[w]),
+                    Sel::One(w) => read(&inner.state.stats[w]),
                 }
             });
             let info = CounterInfo::new(name.canonical(), CounterKind::Average, help, "ns");
@@ -192,6 +190,17 @@ fn register_worker_average(
         }),
         Some(worker_discoverer(object, counter, locality, workers)),
     );
+}
+
+/// Task bodies executing right now, summed over the per-worker gauges and
+/// the external sink.
+fn active_tasks(inner: &RuntimeInner) -> i64 {
+    let sum: i64 = inner
+        .state
+        .all_stats()
+        .map(|s| s.active.load(Ordering::Relaxed))
+        .sum();
+    sum.max(0)
 }
 
 /// Register a total-only raw gauge.
@@ -435,23 +444,20 @@ pub(crate) fn register_runtime_counters(
                     let Some(inner) = weak.upgrade() else {
                         return 0;
                     };
-                    let stats = &inner.state.stats;
+                    let idle_busy = |s: &WorkerStats| {
+                        (
+                            s.idle_ns.load(Ordering::Relaxed),
+                            s.exec_ns.load(Ordering::Relaxed)
+                                + s.overhead_ns.load(Ordering::Relaxed),
+                        )
+                    };
                     let (idle, busy) = match sel {
-                        Sel::Total => stats.iter().fold((0u64, 0u64), |(i, b), s| {
-                            (
-                                i + s.idle_ns.load(Ordering::Relaxed),
-                                b + s.exec_ns.load(Ordering::Relaxed)
-                                    + s.overhead_ns.load(Ordering::Relaxed),
-                            )
-                        }),
-                        Sel::One(w) => {
-                            let s = &stats[w];
-                            (
-                                s.idle_ns.load(Ordering::Relaxed),
-                                s.exec_ns.load(Ordering::Relaxed)
-                                    + s.overhead_ns.load(Ordering::Relaxed),
-                            )
-                        }
+                        Sel::Total => inner
+                            .state
+                            .all_stats()
+                            .map(idle_busy)
+                            .fold((0u64, 0u64), |(i, b), (si, sb)| (i + si, b + sb)),
+                        Sel::One(w) => idle_busy(&inner.state.stats[w]),
                     };
                     if idle + busy == 0 {
                         return 0;
@@ -477,7 +483,7 @@ pub(crate) fn register_runtime_counters(
         "/threads/count/instantaneous/active",
         "tasks currently executing",
         "1",
-        |i| i.state.active.load(Ordering::Relaxed).max(0),
+        active_tasks,
     );
     register_total_raw(
         registry,
@@ -504,10 +510,7 @@ pub(crate) fn register_runtime_counters(
         "/scheduler/utilization/instantaneous",
         "executing tasks as a percentage of workers",
         "%",
-        |i| {
-            let active = i.state.active.load(Ordering::Relaxed).max(0);
-            (active * 100 / i.config.workers.max(1) as i64).min(100)
-        },
+        |i| (active_tasks(i) * 100 / i.config.workers.max(1) as i64).min(100),
     );
 
     // Overload-protection counters (DESIGN.md §14). `/runtime/tasks/*`

@@ -37,7 +37,9 @@ fn cfg() -> Config {
 
 struct Nop;
 impl Runnable for Nop {
-    fn run(&self) {}
+    fn run(&self, _worker: usize, start: u64) -> u64 {
+        start
+    }
 }
 
 /// Protocol 3 — sleeper-count/park-gate lost-wakeup pairing: a worker

@@ -1,5 +1,6 @@
 //! The runtime facade: configuration, worker lifecycle, and the spawn API.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -22,7 +23,7 @@ use crate::policy::{LaunchPolicy, OverloadPolicy};
 use crate::scheduler::{Runnable, Scheduler, SchedulerMode, Task, TaskRepr};
 use crate::slab::{Slab, SlabJoin, SlabSlotRef, SpawnMeta};
 use crate::stats::WorkerStats;
-use crate::trace::{TaskSpan, TaskTracer};
+use crate::trace::{TaskSpan, TaskTracer, EXTERNAL_WORKER};
 use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
 use crate::{watchdog, worker};
 
@@ -129,14 +130,34 @@ impl RuntimeConfig {
     }
 }
 
+/// The `live` task count on a cache-line pair of its own: every spawn and
+/// completion RMWs it, and sharing a line with the read-mostly fields next
+/// to it (`clock`, `stats`, `tracer`) would turn each of their loads on
+/// the hot path into a coherence miss.
+#[repr(align(128))]
+pub(crate) struct LiveCount(AtomicI64);
+
+impl std::ops::Deref for LiveCount {
+    type Target = AtomicI64;
+
+    fn deref(&self) -> &AtomicI64 {
+        &self.0
+    }
+}
+
 /// Counter-visible runtime state (shared with counter closures via `Weak`).
 pub(crate) struct RuntimeState {
     pub clock: Arc<Clock>,
+    /// Per-worker stats; each block's per-task fields are written only by
+    /// its worker (see [`crate::stats`]).
     pub stats: Vec<Arc<WorkerStats>>,
-    /// Tasks currently executing.
-    pub active: AtomicI64,
+    /// Work done for this runtime by threads that are not its workers:
+    /// external spawns, and inline or deferred runs on foreign threads.
+    /// Summed into every `total` counter instance, never into a
+    /// `worker-thread#N` one.
+    pub external: WorkerStats,
     /// Tasks scheduled but not yet finished (pending + active).
-    pub live: AtomicI64,
+    pub live: LiveCount,
     pub idle_lock: Mutex<()>,
     pub idle_cv: Condvar,
     /// Optional task-lifetime tracing (off by default; see [`TaskTracer`]).
@@ -156,6 +177,29 @@ pub(crate) struct RuntimeState {
 }
 
 impl RuntimeState {
+    /// The stats block work done by `worker` (an index of this runtime's
+    /// workers, `None` for any other thread) is booked to.
+    pub(crate) fn sink(&self, worker: Option<usize>) -> &WorkerStats {
+        match worker {
+            Some(w) => &self.stats[w],
+            None => &self.external,
+        }
+    }
+
+    /// Every stats block a `total` counter instance sums: the workers' and
+    /// the external sink.
+    pub(crate) fn all_stats(&self) -> impl Iterator<Item = &WorkerStats> {
+        self.stats
+            .iter()
+            .map(|s| &**s)
+            .chain(std::iter::once(&self.external))
+    }
+
+    /// Sum of `f` over [`all_stats`](Self::all_stats).
+    pub(crate) fn total(&self, f: impl Fn(&WorkerStats) -> u64) -> u64 {
+        self.all_stats().map(f).sum()
+    }
+
     pub(crate) fn note_task_finished(&self) {
         if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.idle_lock.lock();
@@ -277,11 +321,11 @@ impl Runtime {
         let state = Arc::new(RuntimeState {
             clock: registry.clock(),
             stats: (0..workers).map(|_| Arc::new(WorkerStats::new())).collect(),
-            active: AtomicI64::new(0),
-            live: AtomicI64::new(0),
+            external: WorkerStats::shared(),
+            live: LiveCount(AtomicI64::new(0)),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
-            tracer: TaskTracer::new(64 * 1024),
+            tracer: TaskTracer::with_workers(64 * 1024, workers),
             quiesce_cancel: AtomicBool::new(false),
             live_workers: AtomicUsize::new(workers),
             overload_state: AtomicI64::new(0),
@@ -408,7 +452,8 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        spawn_inner(&self.inner, policy, site, f, None)
+        let spawner = worker::context_for(&self.inner);
+        spawn_inner(&self.inner, spawner, policy, site, f, None)
     }
 
     /// Fallible spawn (`Async` policy): fails fast — never blocks, never
@@ -423,7 +468,7 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        try_spawn_inner(&self.inner, site, f, None)
+        try_spawn_inner(&self.inner, worker::context_for(&self.inner), site, f, None)
     }
 
     /// Spawn a task bound to `token`: if the token is cancelled before the
@@ -438,13 +483,8 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        spawn_inner(
-            &self.inner,
-            LaunchPolicy::Async,
-            site,
-            f,
-            Some(token.clone()),
-        )
+        let (spawner, token) = (worker::context_for(&self.inner), Some(token.clone()));
+        spawn_inner(&self.inner, spawner, LaunchPolicy::Async, site, f, token)
     }
 
     /// Spawn a task that auto-cancels if not dispatched within `deadline`.
@@ -460,16 +500,8 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
         let token = CancelToken::with_deadline(deadline);
-        let fut = spawn_inner(
-            &self.inner,
-            LaunchPolicy::Async,
-            site,
-            f,
-            Some(token.clone()),
-        );
-        (fut, token)
+        (self.spawn_cancellable(&token, f), token)
     }
 
     /// The active fault injector, if this runtime was configured with an
@@ -563,14 +595,12 @@ impl Runtime {
         let drained = self.wait_idle_for(deadline);
         let mut cancelled = 0;
         if !drained {
-            let before =
-                crate::stats::total(&inner.state.stats, |s| s.cancelled.load(Ordering::Relaxed));
+            let cancelled_total = || inner.state.total(|s| s.cancelled.load(Ordering::Relaxed));
+            let before = cancelled_total();
             inner.state.quiesce_cancel.store(true, Ordering::SeqCst);
             inner.scheduler.wake_all();
             let _ = self.wait_idle_for(deadline);
-            cancelled =
-                crate::stats::total(&inner.state.stats, |s| s.cancelled.load(Ordering::Relaxed))
-                    .saturating_sub(before);
+            cancelled = cancelled_total().saturating_sub(before);
         }
         for hook in inner.drain_hooks.lock().iter() {
             hook();
@@ -675,6 +705,20 @@ pub struct RuntimeHandle {
 }
 
 impl RuntimeHandle {
+    /// The runtime behind this handle and the caller's worker identity in
+    /// it: a worker of this runtime borrows its loop's own reference (no
+    /// refcount traffic), any other thread upgrades the `Weak`, panicking
+    /// if the runtime has been dropped.
+    fn resolve(&self) -> (Cow<'_, Arc<RuntimeInner>>, Option<worker::WorkerRef>) {
+        // SAFETY: every caller is a spawn method that drops the borrow
+        // before it returns.
+        if let Some((inner, w)) = unsafe { worker::borrow_runtime(self.inner.as_ptr()) } {
+            return (Cow::Borrowed(inner), Some(w));
+        }
+        let msg = "RuntimeHandle used after Runtime was dropped";
+        (Cow::Owned(self.inner.upgrade().expect(msg)), None)
+    }
+
     /// Spawn with the default (`Async`) policy.
     ///
     /// # Panics
@@ -697,11 +741,8 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        spawn_inner(&inner, policy, site, f, None)
+        let (inner, spawner) = self.resolve();
+        spawn_inner(&inner, spawner, policy, site, f, None)
     }
 
     /// Fallible spawn; see [`Runtime::try_spawn`].
@@ -716,11 +757,8 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        try_spawn_inner(&inner, site, f, None)
+        let (inner, spawner) = self.resolve();
+        try_spawn_inner(&inner, spawner, site, f, None)
     }
 
     /// Spawn a task bound to `token`; see [`Runtime::spawn_cancellable`].
@@ -731,11 +769,9 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        spawn_inner(&inner, LaunchPolicy::Async, site, f, Some(token.clone()))
+        let (inner, spawner) = self.resolve();
+        let token = Some(token.clone());
+        spawn_inner(&inner, spawner, LaunchPolicy::Async, site, f, token)
     }
 
     /// Spawn with a dispatch deadline; see [`Runtime::spawn_with_deadline`].
@@ -749,14 +785,8 @@ impl RuntimeHandle {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
         let token = CancelToken::with_deadline(deadline);
-        let fut = spawn_inner(&inner, LaunchPolicy::Async, site, f, Some(token.clone()));
-        (fut, token)
+        (self.spawn_cancellable(&token, f), token)
     }
 }
 
@@ -812,14 +842,14 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    /// A cell for a task that never enters a queue (inline or deferred).
     fn new(
         inner: &Arc<RuntimeInner>,
         task_id: u64,
         site: u32,
         f: F,
-        track_live: bool,
         token: Option<CancelToken>,
-        gate: Option<Arc<AdmissionGate>>,
+        spawned_ns: u64,
     ) -> Self {
         TaskCell {
             shared: Shared::fresh(),
@@ -827,20 +857,40 @@ where
             state: inner.state.clone(),
             faults: inner.faults.clone(),
             token,
-            gate,
+            gate: None,
             task_id,
             parent: current_task_id(),
             site,
-            spawned_ns: inner.state.clock.now_ns(),
-            track_live,
+            spawned_ns,
+            track_live: false,
         }
     }
 
+    /// The same cell for a queued task: it counts in `live` and may hold
+    /// an admission slot.
+    fn queued(self, gate: Option<Arc<AdmissionGate>>) -> Self {
+        TaskCell {
+            gate,
+            track_live: true,
+            ..self
+        }
+    }
+
+    /// Run the body on the calling thread (a deferred task's `get`),
+    /// booking it to that thread's stats block in this runtime.
+    fn run_here(&self) {
+        let worker = worker::index_in(&self.state);
+        self.run_body(worker, self.state.clock.now_ns());
+    }
+
     /// Run the task body with full instrumentation and complete the
-    /// embedded future. Idempotent: only the first caller gets the body.
-    fn run_body(&self) {
+    /// embedded future; `worker` is the runner's index among this
+    /// runtime's workers (`None` books to the external sink) and `start`
+    /// opens the execution window. Returns the reading that closed it.
+    /// Idempotent: only the first caller gets the body.
+    fn run_body(&self, worker: Option<usize>, start: u64) -> u64 {
         let Some(f) = self.body.lock().take() else {
-            return;
+            return start;
         };
         let state = &self.state;
         // The task left the queue (it either runs now or is cancelled):
@@ -848,16 +898,16 @@ where
         if let Some(gate) = &self.gate {
             gate.note_started();
         }
-        let idx = worker::current_worker_index().unwrap_or(0);
+        let stats = state.sink(worker);
         let cancelled = self.token.as_ref().is_some_and(CancelToken::is_cancelled)
             || (self.track_live && state.quiesce_cancel.load(Ordering::Acquire));
         if cancelled {
-            state.stats[idx].cancelled.fetch_add(1, Ordering::Relaxed);
+            stats.cancelled.fetch_add(1, Ordering::Relaxed);
             self.shared.complete_cancelled();
             if self.track_live {
                 state.note_task_finished();
             }
-            return;
+            return start;
         }
         if let Some(faults) = &self.faults {
             if faults.inject_task_panic() {
@@ -865,19 +915,18 @@ where
                 // recover, and run the real body.
                 let _ =
                     std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
-                state.stats[idx].recovered.fetch_add(1, Ordering::Relaxed);
+                stats.recovered.fetch_add(1, Ordering::Relaxed);
             }
         }
-        state.active.fetch_add(1, Ordering::Relaxed);
+        stats.enter_task();
         let nested_before = NESTED_EXEC_NS.with(|c| c.get());
         // Mark this task as the causal parent of anything its body spawns
         // (restored below — help-execution nests bodies on one thread).
         let prev_task = CURRENT_TASK.with(|c| c.replace(self.task_id));
-        let start = state.clock.now_ns();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
         let end = state.clock.now_ns();
         CURRENT_TASK.with(|c| c.set(prev_task));
-        state.active.fetch_sub(1, Ordering::Relaxed);
+        stats.leave_task();
         // Net execution time: subtract time spent executing *other* tasks
         // while helping inside this task's waits, so `/threads/time/*`
         // counts every task exactly once (HPX suspends the parent; we
@@ -889,20 +938,24 @@ where
         let net = gross.saturating_sub(nested_during);
         NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
         let wait_ns = start.saturating_sub(self.spawned_ns);
-        state.stats[idx].record_execution(net, wait_ns);
+        stats.record_execution(net, wait_ns);
         // The span records gross start..end plus `nested_ns`, so readers
         // can reconstruct both views; net (gross − nested) is what the
         // profile and the causal analyzer sum — matching the stats above.
-        state.tracer.record(TaskSpan {
-            task_id: self.task_id,
-            parent: self.parent,
-            site: self.site,
-            worker: idx as u32,
-            start_ns: start,
-            end_ns: end,
-            wait_ns,
-            nested_ns: nested_during,
-        });
+        state.tracer.record_on(
+            worker,
+            TaskSpan {
+                task_id: self.task_id,
+                parent: self.parent,
+                site: self.site,
+                worker: worker.map_or(EXTERNAL_WORKER, |w| w as u32),
+                start_ns: start,
+                end_ns: end,
+                wait_ns,
+                nested_ns: nested_during,
+            },
+            &state.clock,
+        );
         match result {
             Ok(v) => self.shared.complete(v),
             Err(p) => self.shared.complete_panicked(p),
@@ -910,6 +963,7 @@ where
         if self.track_live {
             state.note_task_finished();
         }
+        end
     }
 }
 
@@ -918,8 +972,8 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    fn run(&self) {
-        self.run_body();
+    fn run(&self, worker: usize, start: u64) -> u64 {
+        self.run_body(Some(worker), start)
     }
 }
 
@@ -1032,10 +1086,11 @@ fn admit_for_queue(inner: &Arc<RuntimeInner>, _spawner: Option<worker::WorkerRef
 /// heap `Arc<TaskCell>` remains for external spawns, oversized closures,
 /// and slab exhaustion, counted in `/runtime/slab/fallback-allocs`.
 ///
-/// The overhead window `t0..t1` now opens *before* task-cell creation
-/// (it used to open after the `Arc` allocation), so the measured ns/task
-/// includes slot/cell setup — a strictly wider, more honest window than
-/// the pre-slab numbers in EXPERIMENTS.md.
+/// The overhead window `t0..t1` covers slot/cell setup and the queue push.
+/// The spawn's bookkeeping increments (`spawned`, the task id and `live`)
+/// sit just before it; the `live` RMW, the first locked instruction of a
+/// spawn, also absorbs the drain of the caller's buffered stores, which
+/// is the body's cost, not the scheduler's.
 fn queue_task<T, F>(
     inner: &Arc<RuntimeInner>,
     task_id: u64,
@@ -1049,8 +1104,8 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let t0 = inner.state.clock.now_ns();
     inner.state.live.fetch_add(1, Ordering::AcqRel);
+    let t0 = inner.state.clock.now_ns();
     if crate::slab::task_fits::<T, F>() {
         if let Some(w) = spawner {
             let slab = &inner.slabs[w.index];
@@ -1083,7 +1138,7 @@ where
         }
     }
     inner.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-    let cell = Arc::new(TaskCell::new(inner, task_id, site, f, true, token, gate));
+    let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, t0).queued(gate));
     let task = Task {
         repr: TaskRepr::Heap(cell.clone()),
         id: task_id,
@@ -1094,22 +1149,31 @@ where
         None => inner.scheduler.push(task, None),
     }
     let t1 = inner.state.clock.now_ns();
-    let overhead_owner = spawner.map_or(0, |w| w.index);
-    inner.state.stats[overhead_owner].record_overhead(t1.saturating_sub(t0));
+    inner
+        .state
+        .sink(spawner.map(|w| w.index))
+        .record_overhead(t1.saturating_sub(t0));
     TaskFuture::from_core(cell)
 }
 
-/// Run a slab-resident task: the mirror of [`TaskCell::run_body`] with
-/// identical instrumentation order (gate return, cancellation check,
-/// fault injection, net/nested timing, span record — all *before* the
-/// completion publish, so a thread observing the future ready sees the
-/// task in the counters). Slab tasks are always queued, so they always
-/// track `live`.
-pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
+/// Run a slab-resident task on worker `widx` with its execution window
+/// opening at `start`; returns the reading that closed it. The mirror of
+/// [`TaskCell::run_body`] with identical instrumentation order (gate
+/// return, cancellation check, fault injection, net/nested timing, span
+/// record — all *before* the completion publish, so a thread observing the
+/// future ready sees the task in the counters). Slab tasks are always
+/// queued, so they always track `live`, and only worker loops dispatch
+/// them, so `widx` is always the calling thread's own stats block.
+pub(crate) fn run_slab_task(
+    inner: &Arc<RuntimeInner>,
+    slot_ref: &SlabSlotRef,
+    widx: usize,
+    start: u64,
+) -> u64 {
     let slab = slot_ref.slab();
     let idx = slot_ref.idx;
     if !slab.claim(idx) {
-        return;
+        return start;
     }
     let state = &inner.state;
     // SAFETY: we won the claim; meta/payload are ours until runner_done.
@@ -1133,30 +1197,29 @@ pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
             gate.note_started();
         }
     }
-    let widx = worker::current_worker_index().unwrap_or(0);
+    let stats = &state.stats[widx];
     if cancelled {
-        state.stats[widx].cancelled.fetch_add(1, Ordering::Relaxed);
+        stats.cancelled.fetch_add(1, Ordering::Relaxed);
         // SAFETY: claimant; drops the un-run closure, publishes cancelled.
         unsafe { slab.cancel_claimed(idx) };
         state.note_task_finished();
         slab.runner_done(idx);
-        return;
+        return start;
     }
     if let Some(faults) = &inner.faults {
         if faults.inject_task_panic() {
             let _ = std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
-            state.stats[widx].recovered.fetch_add(1, Ordering::Relaxed);
+            stats.recovered.fetch_add(1, Ordering::Relaxed);
         }
     }
-    state.active.fetch_add(1, Ordering::Relaxed);
+    stats.enter_task();
     let nested_before = NESTED_EXEC_NS.with(|c| c.get());
     let prev_task = CURRENT_TASK.with(|c| c.replace(task_id));
-    let start = state.clock.now_ns();
     // SAFETY: claimant; consumes the closure (catches panics internally).
     let outcome = unsafe { slab.run_claimed(idx) };
     let end = state.clock.now_ns();
     CURRENT_TASK.with(|c| c.set(prev_task));
-    state.active.fetch_sub(1, Ordering::Relaxed);
+    stats.leave_task();
     let gross = end.saturating_sub(start);
     let nested_during = NESTED_EXEC_NS
         .with(|c| c.get())
@@ -1164,24 +1227,49 @@ pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
     let net = gross.saturating_sub(nested_during);
     NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
     let wait_ns = start.saturating_sub(spawned_ns);
-    state.stats[widx].record_execution(net, wait_ns);
-    state.tracer.record(TaskSpan {
-        task_id,
-        parent: (parent != u64::MAX).then_some(parent),
-        site,
-        worker: widx as u32,
-        start_ns: start,
-        end_ns: end,
-        wait_ns,
-        nested_ns: nested_during,
-    });
+    stats.record_execution(net, wait_ns);
+    state.tracer.record_on(
+        Some(widx),
+        TaskSpan {
+            task_id,
+            parent: (parent != u64::MAX).then_some(parent),
+            site,
+            worker: widx as u32,
+            start_ns: start,
+            end_ns: end,
+            wait_ns,
+            nested_ns: nested_during,
+        },
+        &state.clock,
+    );
     slab.publish(idx, outcome);
     state.note_task_finished();
     slab.runner_done(idx);
+    end
 }
 
+/// Issue a task id and count the spawn against the spawner's stats block
+/// (the external sink for threads that are not this runtime's workers).
+fn begin_spawn(inner: &RuntimeInner, spawner: Option<worker::WorkerRef>) -> u64 {
+    match spawner {
+        Some(w) => {
+            inner.state.stats[w.index].record_spawn();
+            w.next_task_id(&inner.scheduler)
+        }
+        None => {
+            inner.state.external.record_spawn();
+            inner.scheduler.next_task_id()
+        }
+    }
+}
+
+/// `spawner` is the caller's identity among `inner`'s workers
+/// ([`worker::context_for`]): a worker of runtime A spawning into runtime
+/// B is an external spawner to B and must not index B's stats or slabs
+/// with A's worker index.
 fn spawn_inner<T, F>(
     inner: &Arc<RuntimeInner>,
+    spawner: Option<worker::WorkerRef>,
     policy: LaunchPolicy,
     site: u32,
     f: F,
@@ -1191,42 +1279,28 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let task_id = inner.scheduler.next_task_id();
-    // Per-runtime worker identity: a worker of runtime A spawning into
-    // runtime B must not index B's stats/slabs with A's worker index.
-    let spawner = worker::context_for(inner);
-    if let Some(w) = spawner {
-        inner.state.stats[w.index]
-            .spawned
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
+    let task_id = begin_spawn(inner, spawner);
+    let run_inline = |f: F, token: Option<CancelToken>| {
+        let now = inner.state.clock.now_ns();
+        let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, now));
+        cell.run_body(spawner.map(|w| w.index), now);
+        TaskFuture::from_core(cell)
+    };
     match policy {
-        LaunchPolicy::Sync => {
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-            cell.run_body();
-            TaskFuture::from_core(cell)
-        }
-        LaunchPolicy::Fork if spawner.is_some() => {
-            // Continuation-stealing approximation: the child runs now, on
-            // this worker, with no queue round-trip (see LaunchPolicy::Fork).
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-            cell.run_body();
-            TaskFuture::from_core(cell)
-        }
+        LaunchPolicy::Sync => run_inline(f, token),
+        // Continuation-stealing approximation: the child runs now, on this
+        // worker, with no queue round-trip (see LaunchPolicy::Fork).
+        LaunchPolicy::Fork if spawner.is_some() => run_inline(f, token),
         LaunchPolicy::Deferred => {
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
+            let now = inner.state.clock.now_ns();
+            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, now));
             let c2 = cell.clone();
-            cell.shared.set_deferred(Box::new(move || c2.run_body()));
+            cell.shared.set_deferred(Box::new(move || c2.run_here()));
             TaskFuture::from_core(cell)
         }
         LaunchPolicy::Async | LaunchPolicy::Fork => match admit_for_queue(inner, spawner) {
             Admit::Queue(gate) => queue_task(inner, task_id, site, f, token, spawner, gate),
-            Admit::Inline => {
-                let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-                cell.run_body();
-                TaskFuture::from_core(cell)
-            }
+            Admit::Inline => run_inline(f, token),
         },
     }
 }
@@ -1235,6 +1309,7 @@ where
 /// the closure comes back inside the error.
 fn try_spawn_inner<T, F>(
     inner: &Arc<RuntimeInner>,
+    spawner: Option<worker::WorkerRef>,
     site: u32,
     f: F,
     token: Option<CancelToken>,
@@ -1256,12 +1331,54 @@ where
         }
         None => None,
     };
-    let task_id = inner.scheduler.next_task_id();
-    let spawner = worker::context_for(inner);
-    if let Some(w) = spawner {
-        inner.state.stats[w.index]
-            .spawned
-            .fetch_add(1, Ordering::Relaxed);
-    }
+    let task_id = begin_spawn(inner, spawner);
     Ok(queue_task(inner, task_id, site, f, token, spawner, gate))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Spawn overhead of a thread that is not one of the runtime's workers
+    /// lands in the external sink, which the `total` counter instance sums,
+    /// and never in `worker-thread#0`.
+    #[test]
+    fn external_spawn_overhead_books_to_the_external_sink() {
+        const N: u64 = 64;
+        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let futures: Vec<_> = (0..N).map(|i| rt.spawn(move || i)).collect();
+        assert_eq!(futures.into_iter().map(TaskFuture::get).sum::<u64>(), 2016);
+        rt.wait_idle();
+
+        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let state = &rt.inner.state;
+        let (ext, w0) = (&state.external, &state.stats[0]);
+        assert_eq!(ld(&ext.spawned), N);
+        assert_eq!(ld(&ext.overhead_ops), N, "one spawn window per spawn");
+        assert!(ld(&ext.overhead_ns) > 0);
+        assert_eq!(ld(&w0.spawned), 0);
+        assert_eq!(ld(&w0.executed), N);
+        assert_eq!(
+            ld(&w0.overhead_ops),
+            N,
+            "worker 0's ledger holds only its own dispatch windows"
+        );
+
+        let reg = rt.registry();
+        let eval = |path: &str| reg.evaluate(path, false).unwrap().value as u64;
+        let own = eval("/threads{locality#0/worker-thread#0}/time/cumulative-overhead");
+        let total = eval("/threads{locality#0/total}/time/cumulative-overhead");
+        assert_eq!(own, ld(&w0.overhead_ns));
+        assert_eq!(total, own + ld(&ext.overhead_ns));
+        assert_eq!(
+            eval("/threads{locality#0/total}/count/spawned"),
+            N,
+            "the total sums the external sink"
+        );
+        assert_eq!(
+            eval("/threads{locality#0/total}/count/instantaneous/active"),
+            0
+        );
+        rt.shutdown();
+    }
 }

@@ -33,8 +33,25 @@ use crate::slab::SlabSlotRef;
 /// (`runtime::TaskCell`), which carries the instrumented wrapper logic
 /// *and* the future's shared state behind one `Arc`.
 pub(crate) trait Runnable: Send + Sync {
-    /// Run the task body exactly once; later calls must be no-ops.
-    fn run(&self);
+    /// Run the task body exactly once on `worker` (an index of this
+    /// runtime's workers; heap tasks are only dispatched by worker loops),
+    /// with its execution window opening at `start`. Returns the clock
+    /// reading that closed the window — `start` when nothing ran, so later
+    /// calls are no-ops.
+    fn run(&self, worker: usize, start: u64) -> u64;
+}
+
+/// Task ids one worker reserved from [`Scheduler::next_id`]: `next..end`
+/// are still unissued. Lives in the worker's thread-local context.
+#[derive(Default)]
+pub(crate) struct TaskIdBlock {
+    next: std::cell::Cell<u64>,
+    end: std::cell::Cell<u64>,
+}
+
+impl TaskIdBlock {
+    /// Ids taken per shared `fetch_add`.
+    pub(crate) const SIZE: u64 = 1024;
 }
 
 /// How a queued task's body is stored.
@@ -224,6 +241,22 @@ impl Scheduler {
 
     pub(crate) fn next_task_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A task id from a worker's private block, refilled with one shared
+    /// `fetch_add` every [`TaskIdBlock::SIZE`] ids. Ids stay unique across
+    /// blocks and [`next_task_id`](Self::next_task_id), but are no longer
+    /// globally ordered by spawn time.
+    pub(crate) fn next_task_id_in(&self, block: &TaskIdBlock) -> u64 {
+        let id = block.next.get();
+        if id < block.end.get() {
+            block.next.set(id + 1);
+            return id;
+        }
+        let base = self.next_id.fetch_add(TaskIdBlock::SIZE, Ordering::Relaxed);
+        block.next.set(base + 1);
+        block.end.set(base + TaskIdBlock::SIZE);
+        base
     }
 
     /// Injector segments in use (1 unless NUMA placement is active).
@@ -488,7 +521,9 @@ mod tests {
 
     struct Nop;
     impl Runnable for Nop {
-        fn run(&self) {}
+        fn run(&self, _worker: usize, start: u64) -> u64 {
+            start
+        }
     }
 
     fn task(id: u64) -> Task {
@@ -771,5 +806,26 @@ mod tests {
         let a = s.next_task_id();
         let b = s.next_task_id();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn task_id_blocks_never_overlap() {
+        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let (b0, b1) = (TaskIdBlock::default(), TaskIdBlock::default());
+        let mut ids = Vec::new();
+        for _ in 0..3 * TaskIdBlock::SIZE {
+            ids.push(s.next_task_id_in(&b0));
+            ids.push(s.next_task_id_in(&b1));
+            ids.push(s.next_task_id());
+        }
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "ids must be unique across blocks");
+        assert_eq!(
+            s.next_id.load(Ordering::Relaxed),
+            9 * TaskIdBlock::SIZE,
+            "three blocks per worker plus one id per external call"
+        );
     }
 }

@@ -1,14 +1,24 @@
 //! Per-worker instrumentation state feeding the `/threads/*` counters.
 //!
-//! Every field is a relaxed atomic written only by the owning worker (plus
-//! inline executions on that worker) and read by counter evaluations from
-//! any thread — the low-overhead introspection pattern the paper's
-//! framework is built on.
+//! Every field is a relaxed atomic read by counter evaluations from any
+//! thread — the low-overhead introspection pattern the paper's framework is
+//! built on. The per-task fields have exactly one writer, the owning worker
+//! thread, so they are bumped with a plain relaxed load + store instead of
+//! a locked read-modify-write. Work done by any other thread (external
+//! spawns, inline or deferred runs on foreign threads) goes to the runtime's
+//! single [`WorkerStats::shared`] sink, whose writers use `fetch_add`; that
+//! sink is summed into every `total` counter instance and never into a
+//! `worker-thread#N` one. The rare health fields (`cancelled`, `recovered`,
+//! `restarts`, `stalls`, ...) keep `fetch_add` in both kinds of block: the
+//! watchdog and queue teardown write them from other threads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-/// Instrumentation accumulators for one worker thread.
+/// Instrumentation accumulators for one worker thread. Aligned to a pair
+/// of cache lines so one worker's stores never invalidate a line another
+/// worker (or the external sink's writers) is storing to.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct WorkerStats {
     /// Tasks whose execution finished on this worker.
     pub executed: AtomicU64,
@@ -65,38 +75,109 @@ pub struct WorkerStats {
     /// its deque was re-parented into the injector, and the watchdog must
     /// stop stall-checking its frozen heartbeat.
     pub retired: AtomicBool,
+    /// Task bodies executing right now (nested help-executions count once
+    /// per level; feeds `/threads/count/instantaneous/active`).
+    pub active: AtomicI64,
+    /// Whether several threads write the per-task fields (the external
+    /// sink), which then need `fetch_add` instead of owner load + store.
+    shared: bool,
 }
 
 impl WorkerStats {
-    /// Fresh zeroed stats.
+    /// Fresh zeroed stats for one worker: the per-task recorders below
+    /// must only be called from that worker's thread.
     pub fn new() -> Self {
         WorkerStats::default()
     }
 
+    /// Fresh zeroed stats that any number of threads may record into (the
+    /// runtime's external sink).
+    pub fn shared() -> Self {
+        WorkerStats {
+            shared: true,
+            ..WorkerStats::default()
+        }
+    }
+
+    #[inline]
+    fn add(&self, field: &AtomicU64, v: u64) {
+        if self.shared {
+            field.fetch_add(v, Ordering::Relaxed);
+        } else {
+            // Single writer: a plain load + store cannot lose an update.
+            field.store(
+                field.load(Ordering::Relaxed).wrapping_add(v),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    #[inline]
+    fn add_active(&self, v: i64) {
+        if self.shared {
+            self.active.fetch_add(v, Ordering::Relaxed);
+        } else {
+            let a = &self.active;
+            a.store(a.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
+        }
+    }
+
     /// Record one finished task execution.
     pub fn record_execution(&self, exec_ns: u64, wait_ns: u64) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        self.exec_ns.fetch_add(exec_ns, Ordering::Relaxed);
-        self.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+        self.add(&self.executed, 1);
+        self.add(&self.exec_ns, exec_ns);
+        self.add(&self.wait_ns, wait_ns);
+    }
+
+    /// A task body starts executing.
+    pub fn enter_task(&self) {
+        self.add_active(1);
+    }
+
+    /// A task body finished executing.
+    pub fn leave_task(&self) {
+        self.add_active(-1);
+    }
+
+    /// Record one spawn issued by this worker.
+    pub fn record_spawn(&self) {
+        self.add(&self.spawned, 1);
+    }
+
+    /// Record the tasks one find moved off other workers' deques, split by
+    /// the victim's socket segment.
+    pub fn record_steals(&self, local: u64, remote: u64) {
+        self.add(&self.stolen, local + remote);
+        if local > 0 {
+            self.add(&self.stolen_local, local);
+        }
+        if remote > 0 {
+            self.add(&self.stolen_remote, remote);
+        }
+    }
+
+    /// Record time one find spent probing remote-socket queues.
+    pub fn record_remote_probe(&self, ns: u64) {
+        self.add(&self.steal_probe_remote_ns, ns);
     }
 
     /// Bump the liveness heartbeat (called from scheduling loops only —
     /// never from task bodies, so an injected stall freezes it).
     pub fn beat(&self) {
-        self.heartbeat.fetch_add(1, Ordering::Relaxed);
+        self.add(&self.heartbeat, 1);
     }
 
     /// Record scheduling-path cost (spawn or dispatch).
     pub fn record_overhead(&self, ns: u64) {
-        self.overhead_ns.fetch_add(ns, Ordering::Relaxed);
-        self.overhead_ops.fetch_add(1, Ordering::Relaxed);
+        self.add(&self.overhead_ns, ns);
+        self.add(&self.overhead_ops, 1);
     }
 
     /// Record time spent looking for work unsuccessfully (including parked
     /// time). Every find-miss window must land here so the per-worker time
     /// balance (exec + overhead + idle ≈ wall) holds.
     pub fn record_idle(&self, ns: u64) {
-        self.idle_ns.fetch_add(ns, Ordering::Relaxed);
+        self.add(&self.idle_ns, ns);
     }
 
     /// Snapshot of (executed, exec_ns) for average counters.
@@ -125,11 +206,6 @@ impl WorkerStats {
     }
 }
 
-/// Sum a statistic over a slice of worker stats.
-pub fn total<F: Fn(&WorkerStats) -> u64>(stats: &[std::sync::Arc<WorkerStats>], f: F) -> u64 {
-    stats.iter().map(|s| f(s)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,11 +231,36 @@ mod tests {
     }
 
     #[test]
-    fn totals_sum_across_workers() {
-        let stats: Vec<Arc<WorkerStats>> = (0..3).map(|_| Arc::new(WorkerStats::new())).collect();
-        stats[0].record_execution(10, 0);
-        stats[2].record_execution(30, 0);
-        assert_eq!(total(&stats, |s| s.exec_ns.load(Ordering::Relaxed)), 40);
-        assert_eq!(total(&stats, |s| s.executed.load(Ordering::Relaxed)), 2);
+    fn shared_sink_loses_no_concurrent_update() {
+        let s = Arc::new(WorkerStats::shared());
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let s = s.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        s.record_overhead(1);
+                        s.enter_task();
+                        s.record_execution(2, 3);
+                        s.leave_task();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(s.overhead_pair(), (40_000, 40_000));
+        assert_eq!(s.exec_pair(), (80_000, 40_000));
+        assert_eq!(s.active.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn steals_split_by_segment() {
+        let s = WorkerStats::new();
+        s.record_steals(3, 0);
+        s.record_steals(1, 2);
+        assert_eq!(s.stolen.load(Ordering::Relaxed), 6);
+        assert_eq!(s.stolen_local.load(Ordering::Relaxed), 4);
+        assert_eq!(s.stolen_remote.load(Ordering::Relaxed), 2);
     }
 }

@@ -12,24 +12,32 @@
 //! work/span analysis (the `rpx-causal` crate) and the per-worker profile
 //! use: summing gross durations double-counts every help-executed child.
 //!
-//! Tracing is off by default; enabling it installs a bounded ring buffer
-//! so long runs cannot exhaust memory (oldest events are dropped, counted).
-//! The tracer measures its own recording cost ([`TaskTracer::overhead_ns`],
-//! exported as `/runtime/trace/overhead-time`), so the paper's ≤10 %
-//! instrumentation envelope is checkable from inside the process.
+//! Tracing is off by default; enabling it records into bounded ring
+//! buffers so long runs cannot exhaust memory (oldest events are dropped,
+//! counted). Each worker of a runtime records into its own lock-free ring;
+//! spans from any other thread share one locked buffer, and
+//! [`TaskTracer::spans`] merges them. The tracer measures its own recording
+//! cost ([`TaskTracer::overhead_ns`], exported as
+//! `/runtime/trace/overhead-time`), so the paper's ≤10 % instrumentation
+//! envelope is checkable from inside the process.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::Location;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use rpx_counters::counter::Clock;
 
 /// Sentinel site id for spans recorded before site tracking existed or
 /// from paths that bypass the public spawn API.
 pub const UNKNOWN_SITE: u32 = 0;
+
+/// [`TaskSpan::worker`] of a task run by a thread that is not one of the
+/// runtime's workers (an inline or deferred run on a foreign thread).
+pub const EXTERNAL_WORKER: u32 = u32::MAX;
 
 /// Process-wide spawn-site registry: interns `file:line:column` locations
 /// captured by the `#[track_caller]` spawn APIs into dense `u32` ids.
@@ -121,7 +129,8 @@ pub struct TaskSpan {
     pub parent: Option<u64>,
     /// Spawn-site id (see [`site_name`]); [`UNKNOWN_SITE`] when unknown.
     pub site: u32,
-    /// Worker that executed the task.
+    /// Worker that executed the task ([`EXTERNAL_WORKER`] for any other
+    /// thread).
     pub worker: u32,
     /// Start of execution, ns since the runtime clock's epoch.
     pub start_ns: u64,
@@ -148,25 +157,164 @@ impl TaskSpan {
     }
 }
 
+/// One ring entry: a span encoded as words, guarded by a sequence number
+/// so readers can detect a concurrent overwrite (a per-slot seqlock).
+#[derive(Default)]
+#[repr(align(64))]
+struct SpanSlot {
+    /// `2·(n+1)` once span number `n` is fully written here; odd while a
+    /// write is in progress.
+    seq: AtomicU64,
+    words: [AtomicU64; 7],
+}
+
+fn encode(s: &TaskSpan) -> [u64; 7] {
+    [
+        s.task_id,
+        s.parent.unwrap_or(u64::MAX),
+        (u64::from(s.site) << 32) | u64::from(s.worker),
+        s.start_ns,
+        s.end_ns,
+        s.wait_ns,
+        s.nested_ns,
+    ]
+}
+
+fn decode(w: [u64; 7]) -> TaskSpan {
+    TaskSpan {
+        task_id: w[0],
+        parent: (w[1] != u64::MAX).then_some(w[1]),
+        site: (w[2] >> 32) as u32,
+        worker: w[2] as u32,
+        start_ns: w[3],
+        end_ns: w[4],
+        wait_ns: w[5],
+        nested_ns: w[6],
+    }
+}
+
+/// One worker's span ring. Only the owning worker writes it; any thread
+/// may read or clear it without a lock.
+#[repr(align(128))]
+struct WorkerRing {
+    /// Spans pushed so far (owner-written; never reset).
+    head: AtomicU64,
+    /// Ring position of the next push, `head % len` kept incrementally so
+    /// the record path does no division (owner-written).
+    pos: AtomicUsize,
+    /// `head` as of the last [`TaskTracer::clear`]: older spans are gone.
+    base: AtomicU64,
+    /// Time spent inside this ring's records (owner-written).
+    overhead_ns: AtomicU64,
+    /// The slots, allocated and zeroed by the first
+    /// [`TaskTracer::enable`] so that records never take the page faults
+    /// of fresh memory.
+    slots: OnceLock<Box<[SpanSlot]>>,
+}
+
+impl WorkerRing {
+    fn new() -> Self {
+        WorkerRing {
+            head: AtomicU64::new(0),
+            pos: AtomicUsize::new(0),
+            base: AtomicU64::new(0),
+            overhead_ns: AtomicU64::new(0),
+            slots: OnceLock::new(),
+        }
+    }
+
+    fn allocate(&self, len: usize) {
+        self.slots
+            .get_or_init(|| (0..len).map(|_| SpanSlot::default()).collect());
+    }
+
+    /// Owner only: write span number `head` over the oldest slot.
+    fn push(&self, span: &TaskSpan) {
+        let Some(slots) = self.slots.get() else {
+            return;
+        };
+        let n = self.head.load(Ordering::Relaxed);
+        let i = self.pos.load(Ordering::Relaxed);
+        self.pos.store(
+            if i + 1 == slots.len() { 0 } else { i + 1 },
+            Ordering::Relaxed,
+        );
+        let slot = &slots[i];
+        slot.seq.store(2 * n + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (w, v) in slot.words.iter().zip(encode(span)) {
+            w.store(v, Ordering::Relaxed);
+        }
+        slot.seq.store(2 * n + 2, Ordering::Release);
+        self.head.store(n + 1, Ordering::Release);
+    }
+
+    /// Append the spans still held (skipping any being overwritten).
+    fn collect(&self, out: &mut Vec<TaskSpan>) {
+        let Some(slots) = self.slots.get() else {
+            return;
+        };
+        let len = slots.len() as u64;
+        let head = self.head.load(Ordering::Acquire);
+        let lo = self
+            .base
+            .load(Ordering::Acquire)
+            .max(head.saturating_sub(len));
+        for n in lo..head {
+            let slot = &slots[(n % len) as usize];
+            if slot.seq.load(Ordering::Acquire) != 2 * n + 2 {
+                continue;
+            }
+            let words: [u64; 7] = std::array::from_fn(|k| slot.words[k].load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) == 2 * n + 2 {
+                out.push(decode(words));
+            }
+        }
+    }
+
+    fn dropped(&self) -> u64 {
+        let len = self.slots.get().map_or(0, |s| s.len() as u64);
+        let head = self.head.load(Ordering::Acquire);
+        head.saturating_sub(self.base.load(Ordering::Acquire))
+            .saturating_sub(len)
+    }
+}
+
 /// Bounded task-event recorder shared by all workers of a runtime.
 pub struct TaskTracer {
     enabled: AtomicBool,
     capacity: usize,
+    /// One lock-free ring per worker, sharing `capacity` between them.
+    rings: Box<[WorkerRing]>,
+    /// Spans recorded by any other thread.
     spans: Mutex<Vec<TaskSpan>>,
     next: AtomicU64,
     dropped: AtomicU64,
-    /// Self-measurement: wall time spent inside `record` and spans
-    /// recorded, so the tracer's own cost is a counter like any other.
+    /// Self-measurement of the locked buffer: wall time spent inside
+    /// `record` and spans recorded, so the tracer's own cost is a counter
+    /// like any other (the rings keep their own).
     overhead_ns: AtomicU64,
     records: AtomicU64,
 }
 
 impl TaskTracer {
-    /// A tracer holding up to `capacity` most recent spans.
+    /// A tracer holding up to `capacity` most recent spans, recorded from
+    /// any thread through one locked buffer.
     pub fn new(capacity: usize) -> Arc<Self> {
+        Self::with_workers(capacity, 0)
+    }
+
+    /// A tracer for a runtime with `workers` workers: each worker records
+    /// into its own lock-free ring of the `capacity / workers` (rounded
+    /// up) most recent spans it ran, and all other threads share one
+    /// locked buffer of up to `capacity` spans.
+    pub fn with_workers(capacity: usize, workers: usize) -> Arc<Self> {
+        let capacity = capacity.max(1);
         Arc::new(TaskTracer {
             enabled: AtomicBool::new(false),
-            capacity: capacity.max(1),
+            capacity,
+            rings: (0..workers).map(|_| WorkerRing::new()).collect(),
             spans: Mutex::new(Vec::new()),
             next: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -175,8 +323,13 @@ impl TaskTracer {
         })
     }
 
-    /// Start recording.
+    /// Start recording. The first call allocates and zeroes the worker
+    /// rings, so the record path never allocates or faults in memory.
     pub fn enable(&self) {
+        let len = self.capacity.div_ceil(self.rings.len().max(1));
+        for ring in self.rings.iter() {
+            ring.allocate(len);
+        }
         self.enabled.store(true, Ordering::Release);
     }
 
@@ -190,7 +343,29 @@ impl TaskTracer {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Record one span (no-op while disabled).
+    /// Record one span from the runtime's task wrapper: into worker `w`'s
+    /// ring for `Some(w)` — which only worker `w`'s own thread may pass —
+    /// and into the shared buffer otherwise (no-op while disabled).
+    ///
+    /// A ring record's self-measured cost runs on `clock`, the runtime
+    /// clock the span's `end_ns` was read from, from that reading to the
+    /// end of the record: one clock read instead of two, at the price of
+    /// also charging the tracer the few counter stores the task wrapper
+    /// makes between the body's end and this call.
+    pub(crate) fn record_on(&self, worker: Option<usize>, span: TaskSpan, clock: &Clock) {
+        let Some(ring) = worker.and_then(|w| self.rings.get(w)) else {
+            return self.record(span);
+        };
+        if !self.is_enabled() {
+            return;
+        }
+        ring.push(&span);
+        let ns = clock.now_ns().saturating_sub(span.end_ns);
+        let o = &ring.overhead_ns;
+        o.store(o.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+    }
+
+    /// Record one span into the shared buffer (no-op while disabled).
     pub fn record(&self, span: TaskSpan) {
         if !self.is_enabled() {
             return;
@@ -212,29 +387,43 @@ impl TaskTracer {
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Copy out the captured spans (ring order is not chronological once
-    /// the buffer wrapped; sorted by `start_ns` here).
+    /// Copy out the captured spans of every buffer, merged (ring order is
+    /// not chronological once a buffer wrapped; sorted by `start_ns` here).
     pub fn spans(&self) -> Vec<TaskSpan> {
         let mut v = self.spans.lock().clone();
+        for ring in self.rings.iter() {
+            ring.collect(&mut v);
+        }
         v.sort_by_key(|s| s.start_ns);
         v
     }
 
-    /// Spans that were overwritten after the buffer filled.
+    /// Spans that were overwritten after a buffer filled.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+            + self.rings.iter().map(WorkerRing::dropped).sum::<u64>()
     }
 
     /// Cumulative wall time spent recording spans (the tracer's own cost;
     /// `/runtime/trace/overhead-time`).
     pub fn overhead_ns(&self) -> u64 {
         self.overhead_ns.load(Ordering::Relaxed)
+            + self
+                .rings
+                .iter()
+                .map(|r| r.overhead_ns.load(Ordering::Relaxed))
+                .sum::<u64>()
     }
 
     /// Spans recorded since construction (including later-overwritten
     /// ones; `/runtime/trace/records`).
     pub fn records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
+            + self
+                .rings
+                .iter()
+                .map(|r| r.head.load(Ordering::Relaxed))
+                .sum::<u64>()
     }
 
     /// Clear captured spans and the drop count (the self-measurement
@@ -244,6 +433,10 @@ impl TaskTracer {
         self.spans.lock().clear();
         self.next.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
+        for ring in self.rings.iter() {
+            ring.base
+                .store(ring.head.load(Ordering::Acquire), Ordering::Release);
+        }
     }
 
     /// Export as Chrome Trace Event Format (a JSON array of complete
@@ -437,6 +630,86 @@ mod tests {
         let spans = t.spans();
         assert!(spans.len() <= 8);
         assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    }
+
+    #[test]
+    fn worker_rings_bound_and_count_like_the_shared_buffer() {
+        // Capacity 10 over two workers: five slots per ring.
+        let t = TaskTracer::with_workers(10, 2);
+        t.enable();
+        let clock = Clock::new();
+        let n = 137u64;
+        for i in 0..n {
+            t.record_on(Some(1), span(i, 1, i, i + 1), &clock);
+        }
+        let spans = t.spans();
+        assert_eq!(
+            spans.iter().map(|s| s.task_id).collect::<Vec<_>>(),
+            vec![132, 133, 134, 135, 136],
+            "a ring keeps its newest spans"
+        );
+        assert_eq!(t.dropped(), n - 5);
+        assert_eq!(t.records(), n);
+        t.clear();
+        assert!(t.spans().is_empty());
+        assert_eq!(t.dropped(), 0, "clear resets the window's drop count");
+        assert_eq!(t.records(), n, "self-measurement survives clear");
+        t.record_on(Some(1), span(n, 1, n, n + 1), &clock);
+        assert_eq!(t.spans().len(), 1, "records after a clear are kept");
+    }
+
+    #[test]
+    fn spans_merge_worker_rings_and_foreign_buffer_chronologically() {
+        let t = TaskTracer::with_workers(8, 2);
+        t.enable();
+        let clock = Clock::new();
+        t.record_on(Some(0), span(1, 0, 30, 40), &clock);
+        t.record_on(Some(1), span(2, 1, 10, 20), &clock);
+        t.record_on(None, span(3, EXTERNAL_WORKER, 20, 25), &clock);
+        let got: Vec<_> = t.spans().iter().map(|s| (s.task_id, s.worker)).collect();
+        assert_eq!(got, vec![(2, 1), (3, EXTERNAL_WORKER), (1, 0)]);
+        assert_eq!(t.records(), 3);
+        assert_eq!(t.spans()[0], span(2, 1, 10, 20), "spans round-trip exactly");
+    }
+
+    #[test]
+    fn worker_rings_survive_concurrent_read_and_clear() {
+        // Two owners hammer tiny rings while a third thread reads and
+        // clears: every span read back must be one that was written whole.
+        let t = TaskTracer::with_workers(16, 2);
+        t.enable();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..2u32)
+            .map(|w| {
+                let t = t.clone();
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    let clock = Clock::new();
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        t.record_on(Some(w as usize), span(i, w, i * 3, i * 3 + 2), &clock);
+                        i += 1;
+                    }
+                    i
+                })
+            })
+            .collect();
+        for round in 0..200 {
+            if round % 10 == 0 {
+                t.clear();
+            }
+            let spans = t.spans();
+            assert!(spans.len() <= 16);
+            for s in &spans {
+                assert_eq!(s.start_ns, s.task_id * 3, "torn span {s:?}");
+                assert_eq!(s.end_ns, s.start_ns + 2, "torn span {s:?}");
+                assert_eq!(s.parent, s.task_id.checked_sub(1));
+            }
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
+        let written: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(t.records(), written);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use crate::anomaly::{AnomalyDetector, AnomalySignals};
 use crate::overload::{OverloadDetector, OverloadSignals};
 use crate::runtime::{RuntimeConfig, RuntimeInner};
-use crate::stats;
 
 /// Token-bucket restart budget + exponential backoff parameters (derived
 /// from [`RuntimeConfig`]; one copy per worker supervisor).
@@ -209,7 +208,6 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
 /// Feed one watchdog tick of counter readings to the overload detector
 /// and publish the verdict (`/runtime/health/overload-state`).
 fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, interval: Duration) {
-    let stats = &inner.state.stats;
     let (pending, capacity) = match &inner.gate {
         Some(gate) => (gate.pending(), gate.limits().0 as i64),
         // Admission off: depth scoring is disabled (capacity 0); the
@@ -220,9 +218,9 @@ fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, int
     let state = detector.tick(OverloadSignals {
         pending,
         capacity,
-        steals: stats::total(stats, |s| s.stolen.load(Ordering::Relaxed)),
-        executed: stats::total(stats, |s| s.executed.load(Ordering::Relaxed)),
-        idle_ns: stats::total(stats, |s| s.idle_ns.load(Ordering::Relaxed)),
+        steals: inner.state.total(|s| s.stolen.load(Ordering::Relaxed)),
+        executed: inner.state.total(|s| s.executed.load(Ordering::Relaxed)),
+        idle_ns: inner.state.total(|s| s.idle_ns.load(Ordering::Relaxed)),
         tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
     });
     inner
@@ -242,7 +240,6 @@ fn anomaly_tick(
     interval: Duration,
     tick: u64,
 ) {
-    let stats = &inner.state.stats;
     let injected_steals = inner
         .faults
         .as_ref()
@@ -254,10 +251,10 @@ fn anomaly_tick(
     let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
     detector.tick(
         AnomalySignals {
-            steals: stats::total(stats, |s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
-            executed: stats::total(stats, |s| s.executed.load(Ordering::Relaxed)),
-            exec_ns: stats::total(stats, |s| s.exec_ns.load(Ordering::Relaxed)),
-            idle_ns: stats::total(stats, |s| s.idle_ns.load(Ordering::Relaxed)),
+            steals: inner.state.total(|s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
+            executed: inner.state.total(|s| s.executed.load(Ordering::Relaxed)),
+            exec_ns: inner.state.total(|s| s.exec_ns.load(Ordering::Relaxed)),
+            idle_ns: inner.state.total(|s| s.idle_ns.load(Ordering::Relaxed)),
             tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
             pending,
             now_ns: inner.state.clock.now_ns(),

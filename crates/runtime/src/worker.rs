@@ -8,10 +8,16 @@
 //! instead of per task. The park decision does not read `pending` at all —
 //! it probes the queues directly (`Scheduler::has_queued_work`), so batch
 //! staleness can never strand a worker.
+//!
+//! Time accounting is chained: both loops read the clock once per step, so
+//! the reading that closes a find window opens the task's execution window
+//! and the reading taken after the body opens the next find window. A
+//! worker's find, execute and idle windows are therefore contiguous and
+//! cost two clock reads per task.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::deque::Worker as Deque;
@@ -20,82 +26,132 @@ use crossbeam::sync::Parker;
 use rpx_counters::counter::Clock;
 
 use crate::faults::InjectedFault;
-use crate::runtime::RuntimeInner;
-use crate::scheduler::{Scheduler, Task};
+use crate::runtime::{RuntimeInner, RuntimeState};
+use crate::scheduler::{Scheduler, Task, TaskIdBlock};
 use crate::stats::WorkerStats;
 
+/// A worker's thread-local context. It lives in the worker loop's stack
+/// frame and is published through [`CTX`] only while that frame is alive,
+/// so every pointer in it is valid for any call made on the worker thread.
 struct Ctx {
     index: usize,
-    inner: Weak<RuntimeInner>,
-    /// Pointer to the worker's own deque, valid for the lifetime of the
-    /// worker loop; only ever dereferenced from this thread.
+    /// The worker loop's own runtime reference: spawns and help-waits on
+    /// this thread borrow it instead of upgrading a `Weak`.
+    inner: *const Arc<RuntimeInner>,
+    /// The worker's own deque; only ever dereferenced from this thread.
     local: *const Deque<Task>,
-    /// Pointer to the worker's own slab (kept alive by `RuntimeInner`,
-    /// which this thread holds an `Arc` to for the loop's lifetime).
+    /// The worker's own slab (kept alive by `RuntimeInner`).
     slab: *const crate::slab::Slab,
+    /// Task ids this worker reserved for its spawns.
+    ids: TaskIdBlock,
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    static CTX: Cell<*const Ctx> = const { Cell::new(std::ptr::null()) };
+}
+
+/// The calling thread's worker context, if it is a worker.
+///
+/// The reference is only valid while the worker loop that installed the
+/// context is on this thread's stack — true for every caller, which runs
+/// above that loop — so it must not be stored anywhere that outlives the
+/// current call.
+fn ctx<'a>() -> Option<&'a Ctx> {
+    let p = CTX.with(Cell::get);
+    // SAFETY: non-null only between `worker_loop` installing a context that
+    // lives in its frame and `LoopGuard` clearing it; see above.
+    unsafe { p.as_ref() }
+}
+
+impl Ctx {
+    fn runtime(&self) -> &Arc<RuntimeInner> {
+        // SAFETY: points at `worker_loop`'s `inner`, alive as long as `self`.
+        unsafe { &*self.inner }
+    }
+
+    fn worker_ref(&self) -> WorkerRef {
+        WorkerRef {
+            index: self.index,
+            local: self.local,
+            ids: &self.ids,
+        }
+    }
 }
 
 /// Whether the calling thread is one of a runtime's workers.
 pub(crate) fn on_worker_thread() -> bool {
-    CTX.with(|c| c.borrow().is_some())
+    ctx().is_some()
 }
 
 /// The calling worker's index within its runtime, if any. Exposed through
 /// [`crate::runtime::Runtime::current_worker`].
 pub(crate) fn current_worker_index() -> Option<usize> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.index))
+    ctx().map(|c| c.index)
 }
 
-/// A worker's identity within one specific runtime: its index plus its
-/// own deque. `local` is only valid on the worker's thread (which is the
-/// only thread that can obtain a `WorkerRef` for it) while the worker
-/// loop below it on the stack is alive.
+/// A worker's identity within one specific runtime: its index, its own
+/// deque and its task-id block. The pointers are only valid on the
+/// worker's thread (which is the only thread that can obtain a
+/// `WorkerRef` for it) while the worker loop below it on the stack is
+/// alive.
 #[derive(Clone, Copy)]
 pub(crate) struct WorkerRef {
     pub index: usize,
     pub local: *const Deque<Task>,
+    ids: *const TaskIdBlock,
+}
+
+impl WorkerRef {
+    /// A fresh task id from this worker's reserved block.
+    pub(crate) fn next_task_id(&self, scheduler: &Scheduler) -> u64 {
+        // SAFETY: the block lives in this thread's worker context.
+        scheduler.next_task_id_in(unsafe { &*self.ids })
+    }
+}
+
+/// The calling worker's context, but only when it belongs to the runtime
+/// at `target`. The identity check compares pointers, so it costs no
+/// refcount traffic.
+fn ctx_of<'a>(target: *const RuntimeInner) -> Option<&'a Ctx> {
+    ctx().filter(|c| std::ptr::eq(Arc::as_ptr(c.runtime()), target))
 }
 
 /// The calling worker's identity, but only when it belongs to *this*
 /// runtime. Spawn paths must use this instead of
 /// [`current_worker_index`]: a worker of runtime A spawning into runtime
-/// B must not index B's per-worker state with A's index. The identity
-/// check compares pointers (`Weak::as_ptr`), so the spawn hot path pays
-/// no refcount RMW.
+/// B must not index B's per-worker state with A's index.
 pub(crate) fn context_for(inner: &Arc<RuntimeInner>) -> Option<WorkerRef> {
-    CTX.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            if std::ptr::eq(ctx.inner.as_ptr(), Arc::as_ptr(inner)) {
-                Some(WorkerRef {
-                    index: ctx.index,
-                    local: ctx.local,
-                })
-            } else {
-                None
-            }
-        })
-    })
+    ctx_of(Arc::as_ptr(inner)).map(Ctx::worker_ref)
+}
+
+/// The worker loop's own runtime reference and the worker's identity, when
+/// the caller is a worker of the runtime at `target` (a handle's `Weak`
+/// pointer).
+///
+/// # Safety
+///
+/// The caller must not use the returned reference after the call it was
+/// obtained in returns: it points into the worker loop's stack frame.
+pub(crate) unsafe fn borrow_runtime<'a>(
+    target: *const RuntimeInner,
+) -> Option<(&'a Arc<RuntimeInner>, WorkerRef)> {
+    ctx_of(target).map(|c| (c.runtime(), c.worker_ref()))
+}
+
+/// The calling worker's index when it is one of the workers whose
+/// runtime state is `state` (a deferred run picks its stats sink with
+/// this).
+pub(crate) fn index_in(state: &RuntimeState) -> Option<usize> {
+    ctx()
+        .filter(|c| std::ptr::eq(Arc::as_ptr(&c.runtime().state), state))
+        .map(|c| c.index)
 }
 
 /// The calling worker's slab, or null when not on a worker thread. Used
 /// by `Slab::cleanup` to decide between the owner-local free list and
 /// the cross-worker return path.
 pub(crate) fn current_slab_ptr() -> *const crate::slab::Slab {
-    CTX.with(|c| c.borrow().as_ref().map_or(std::ptr::null(), |ctx| ctx.slab))
-}
-
-fn current() -> Option<(usize, Arc<RuntimeInner>, *const Deque<Task>)> {
-    CTX.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            ctx.inner
-                .upgrade()
-                .map(|inner| (ctx.index, inner, ctx.local))
-        })
-    })
+    ctx().map_or(std::ptr::null(), |c| c.slab)
 }
 
 /// Thread-local accumulator for `pending`-counter decrements. A scheduling
@@ -146,48 +202,39 @@ impl Drop for PendingBatch<'_> {
     }
 }
 
-/// Run one found task. Execution timing/accounting lives inside the task
-/// cell (see `runtime::TaskCell::run_body`) so it is ordered before the
-/// future's completion; here we only account the scheduler-side events.
-/// The `pending` decrement is the caller's job (batched via
-/// [`PendingBatch`]).
+/// Run one found task on worker `index`, its execution window opening at
+/// `start`; returns the clock reading that closed it. Execution
+/// timing/accounting lives inside the task (see `runtime::TaskCell` and
+/// `runtime::run_slab_task`) so it is ordered before the future's
+/// completion; here we only account the scheduler-side events. The
+/// `pending` decrement is the caller's job (batched via [`PendingBatch`]).
 pub(crate) fn execute_task(
     inner: &Arc<RuntimeInner>,
     index: usize,
     task: Task,
     stolen_local: u64,
     stolen_remote: u64,
-) {
-    let stolen = stolen_local + stolen_remote;
-    if stolen > 0 {
-        // `stolen` counts every task the find moved off another worker's
-        // deque: the task we are about to run plus any batch-steal extras
-        // now parked in our local deque. Those extras come back out as
-        // local (stolen == 0) finds, so crediting them here keeps
+    start: u64,
+) -> u64 {
+    if stolen_local + stolen_remote > 0 {
+        // The steal counts cover every task the find moved off another
+        // worker's deque: the task we are about to run plus any batch-steal
+        // extras now parked in our local deque. Those extras come back out
+        // as local (stolen == 0) finds, so crediting them here keeps
         // `/threads/count/stolen` equal to "tasks migrated between
         // workers" without double counting. The local/remote split drives
         // `/threads/count/steals-{local,remote}`.
-        let stats = &inner.state.stats[index];
-        stats.stolen.fetch_add(stolen, Ordering::Relaxed);
-        if stolen_local > 0 {
-            stats
-                .stolen_local
-                .fetch_add(stolen_local, Ordering::Relaxed);
-        }
-        if stolen_remote > 0 {
-            stats
-                .stolen_remote
-                .fetch_add(stolen_remote, Ordering::Relaxed);
-        }
+        inner.state.stats[index].record_steals(stolen_local, stolen_remote);
     }
     let Task { repr, id: _ } = task;
     match repr {
-        crate::scheduler::TaskRepr::Heap(run) => run.run(),
+        crate::scheduler::TaskRepr::Heap(run) => run.run(index, start),
         crate::scheduler::TaskRepr::Slab(slot_ref) => {
-            crate::runtime::run_slab_task(inner, &slot_ref);
+            let end = crate::runtime::run_slab_task(inner, &slot_ref, index, start);
             // The run claimed the slot; forgetting the ref skips the
             // teardown claim its Drop would otherwise attempt.
             std::mem::forget(slot_ref);
+            end
         }
     }
 }
@@ -205,7 +252,7 @@ struct LoopGuard<'a> {
 
 impl Drop for LoopGuard<'_> {
     fn drop(&mut self) {
-        CTX.with(|c| *c.borrow_mut() = None);
+        CTX.with(|c| c.set(std::ptr::null()));
         *self.inner.scheduler.deques[self.index].lock() = self.deque.take();
     }
 }
@@ -217,36 +264,39 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
         .take()
         .expect("worker deque claimed twice");
     let _pmu_guard = rpx_papi::DomainGuard::enter(inner.pmu.clone(), index);
-    let guard = LoopGuard {
-        inner: &inner,
-        index,
-        deque: Some(deque),
-    };
     // Bind to the placed hardware thread when a bind policy is active; a
     // failed pin is tolerated (the socket assignment used for victim
     // ordering still stands, it is just advisory then).
     if let Some(hw) = inner.placement.get(index).copied().flatten() {
         let _ = crate::affinity::pin_current_thread(hw);
     }
-    let local: *const Deque<Task> = guard.deque.as_ref().expect("deque just parked") as *const _;
-    CTX.with(|c| {
-        *c.borrow_mut() = Some(Ctx {
-            index,
-            inner: Arc::downgrade(&inner),
-            local,
-            slab: Arc::as_ptr(&inner.slabs[index]),
-        });
-    });
-
-    // SAFETY: `local` points into `guard`, which outlives `run_loop` and is
-    // not moved after the pointer is taken.
-    run_loop(&inner, index, unsafe { &*local });
+    // Declared before `guard` but initialised after it (the context points
+    // into the guard's deque), so the guard drops first and unpublishes
+    // the context before the context itself goes away.
+    #[allow(clippy::needless_late_init)]
+    let ctx;
+    let guard = LoopGuard {
+        inner: &inner,
+        index,
+        deque: Some(deque),
+    };
+    let local = guard.deque.as_ref().expect("deque just parked");
+    ctx = Ctx {
+        index,
+        inner: &inner,
+        local,
+        slab: Arc::as_ptr(&inner.slabs[index]),
+        ids: TaskIdBlock::default(),
+    };
+    CTX.with(|c| c.set(&ctx));
+    run_loop(&inner, index, local);
 }
 
 /// One find-miss step of the scheduling loop: register as a sleeper, park
 /// unless the queues are (now) non-empty or shutdown was requested,
 /// deregister, and attribute the *whole* window since `t0` — the failed
-/// find, the registration, and any park — to `idle_ns`. Returns false when
+/// find, the registration, and any park — to `idle_ns`. Returns the clock
+/// reading that closed the window (and opens the next one), or `None` when
 /// the loop should exit (shutdown).
 ///
 /// Extracted from `run_loop` so the accounting is unit-testable: the
@@ -261,9 +311,9 @@ pub(crate) fn idle_step(
     stats: &WorkerStats,
     clock: &Clock,
     t0: u64,
-) -> bool {
+) -> Option<u64> {
     if shutdown.load(Ordering::Acquire) {
-        return false;
+        return None;
     }
     // Register before the final probe so a push that races with us is
     // guaranteed to either be seen by the probe or unpark us (the fence
@@ -278,18 +328,18 @@ pub(crate) fn idle_step(
     scheduler.deregister_sleeper(index);
     let t1 = clock.now_ns();
     stats.record_idle(t1.saturating_sub(t0));
-    !shutdown.load(Ordering::Acquire)
+    (!shutdown.load(Ordering::Acquire)).then_some(t1)
 }
 
 fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
     let parker = Parker::new();
-    let state = inner.state.clone();
-    let stats = state.stats[index].clone();
+    let state = &inner.state;
+    let stats = &state.stats[index];
     let batch = PendingBatch::new(&inner.scheduler);
 
+    let mut t0 = state.clock.now_ns();
     loop {
         stats.beat();
-        let t0 = state.clock.now_ns();
         let found = inner.scheduler.find(index, deque);
         if found.remote_probe_ns > 0 {
             // Sub-attribution of the find window: time spent probing
@@ -297,24 +347,32 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
             // untouched (the window still lands in overhead/idle below);
             // this lets the causal profiler separate placement misses
             // from granularity.
-            stats
-                .steal_probe_remote_ns
-                .fetch_add(found.remote_probe_ns, Ordering::Relaxed);
+            stats.record_remote_probe(found.remote_probe_ns);
         }
         match found.task {
             Some(task) => {
                 batch.note_started();
                 let t1 = state.clock.now_ns();
                 stats.record_overhead(t1.saturating_sub(t0));
+                let mut start = t1;
                 // Injected stall sits between claiming the task and running
                 // it: `live > 0` for the whole sleep, so the watchdog has a
-                // guaranteed window to observe the frozen heartbeat.
+                // guaranteed window to observe the frozen heartbeat. The
+                // sleep is booked to no window.
                 if let Some(faults) = &inner.faults {
                     if let Some(stall) = faults.inject_stall() {
                         std::thread::sleep(stall);
+                        start = state.clock.now_ns();
                     }
                 }
-                execute_task(inner, index, task, found.stolen_local, found.stolen_remote);
+                t0 = execute_task(
+                    inner,
+                    index,
+                    task,
+                    found.stolen_local,
+                    found.stolen_remote,
+                    start,
+                );
                 // Injected worker kill fires only after the task completed:
                 // the unwind holds no task, so respawning loses nothing
                 // (`batch` flushes on drop during the unwind).
@@ -326,16 +384,17 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
             }
             None => {
                 batch.flush();
-                if !idle_step(
+                match idle_step(
                     &inner.scheduler,
                     &inner.shutdown,
                     &parker,
                     index,
-                    &stats,
+                    stats,
                     &state.clock,
                     t0,
                 ) {
-                    break;
+                    Some(t1) => t0 = t1,
+                    None => break,
                 }
             }
         }
@@ -346,32 +405,40 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
 /// the calling worker; spin/yield briefly when no work is available. Falls
 /// back to yielding when called off a worker thread.
 pub(crate) fn help_while(pred: impl Fn() -> bool) {
-    let Some((index, inner, local)) = current() else {
+    let Some(ctx) = ctx() else {
         while pred() {
             std::thread::yield_now();
         }
         return;
     };
+    let inner = ctx.runtime();
+    let index = ctx.index;
     // SAFETY: `local` is this thread's own deque; see `worker_loop`.
-    let deque = unsafe { &*local };
-    let stats = inner.state.stats[index].clone();
+    let deque = unsafe { &*ctx.local };
+    let state = &inner.state;
+    let stats = &state.stats[index];
     let batch = PendingBatch::new(&inner.scheduler);
     let mut idle_spins: u32 = 0;
+    let mut t0 = state.clock.now_ns();
     while pred() {
         stats.beat();
-        let t0 = inner.state.clock.now_ns();
         let found = inner.scheduler.find(index, deque);
         if found.remote_probe_ns > 0 {
-            stats
-                .steal_probe_remote_ns
-                .fetch_add(found.remote_probe_ns, Ordering::Relaxed);
+            stats.record_remote_probe(found.remote_probe_ns);
         }
         match found.task {
             Some(task) => {
                 batch.note_started();
-                let t1 = inner.state.clock.now_ns();
+                let t1 = state.clock.now_ns();
                 stats.record_overhead(t1.saturating_sub(t0));
-                execute_task(&inner, index, task, found.stolen_local, found.stolen_remote);
+                t0 = execute_task(
+                    inner,
+                    index,
+                    task,
+                    found.stolen_local,
+                    found.stolen_remote,
+                    t1,
+                );
                 idle_spins = 0;
             }
             None => {
@@ -384,8 +451,9 @@ pub(crate) fn help_while(pred: impl Fn() -> bool) {
                 } else {
                     std::thread::sleep(Duration::from_micros(20));
                 }
-                let t1 = inner.state.clock.now_ns();
+                let t1 = state.clock.now_ns();
                 stats.record_idle(t1.saturating_sub(t0));
+                t0 = t1;
             }
         }
     }
@@ -399,7 +467,9 @@ mod tests {
 
     struct Nop;
     impl Runnable for Nop {
-        fn run(&self) {}
+        fn run(&self, _worker: usize, start: u64) -> u64 {
+            start
+        }
     }
 
     fn nop_task(id: u64) -> Task {
@@ -450,7 +520,8 @@ mod tests {
         let t0 = clock.now_ns();
         std::thread::sleep(Duration::from_millis(2));
         let t_entry = Instant::now();
-        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
+        let t1 = idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0)
+            .expect("no shutdown requested");
         assert!(
             t_entry.elapsed() < Duration::from_millis(400),
             "queued work must skip the park"
@@ -460,6 +531,7 @@ mod tests {
             idle >= 2_000_000,
             "the whole window since t0 must be idle-accounted, got {idle}ns"
         );
+        assert_eq!(idle, t1 - t0, "the returned reading closes the window");
         assert_eq!(s.sleeper_count(), 0, "sleeper must deregister");
     }
 
@@ -471,7 +543,7 @@ mod tests {
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);
         let t0 = clock.now_ns();
-        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
+        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0).is_some());
         let idle = stats.idle_ns.load(Ordering::Relaxed);
         assert!(
             idle >= 300_000,
@@ -488,6 +560,6 @@ mod tests {
         let parker = Parker::new();
         let shutdown = AtomicBool::new(true);
         let t0 = clock.now_ns();
-        assert!(!idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
+        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0).is_none());
     }
 }

@@ -110,8 +110,7 @@ fn exec_overhead_idle_account_for_worker_wall_time() {
 
     // Spin tasks long enough that the window dwarfs startup slack, then
     // wait for idle *before* collecting futures so the main thread never
-    // help-executes (helper execution is attributed to worker 0 and would
-    // inflate the accounted total past the workers' own wall time).
+    // runs a task itself.
     let futures: Vec<_> = (0..400)
         .map(|_| {
             rt.spawn(|| {
@@ -154,8 +153,8 @@ fn exec_overhead_idle_account_for_worker_wall_time() {
     // Every worker accounts (exec + overhead + idle) against its own wall
     // clock, so the total must come out near workers × elapsed. The bounds
     // are generous: startup slack lowers it, and spawn-path overhead from
-    // the (non-worker) main thread lands in worker 0's ledger and raises
-    // it slightly.
+    // the (non-worker) main thread, which the total includes through the
+    // external sink, raises it slightly.
     let expected = WORKERS as i64 * wall;
     assert!(
         accounted > expected / 3,
@@ -166,6 +165,62 @@ fn exec_overhead_idle_account_for_worker_wall_time() {
         accounted < expected * 5 / 4,
         "accounted {accounted}ns ≫ {WORKERS}×wall {expected}ns: time is double-counted \
          (exec={exec} overhead={overhead} idle≈{idle})"
+    );
+}
+
+/// The per-worker version of the balance above, tight: one worker,
+/// externally spawned flat spin tasks separated by idle gaps. Its find,
+/// execute and idle windows are chained, so `worker-thread#0`'s exec +
+/// overhead + idle must cover its whole lifetime to within ±10 %. Spawn
+/// overhead from the (non-worker) main thread goes to the external sink and
+/// so cannot inflate worker 0's ledger.
+#[test]
+fn worker_windows_cover_its_lifetime() {
+    const W0: &str = "{locality#0/worker-thread#0}";
+    let t0 = std::time::Instant::now();
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+    let reg = rt.registry();
+    for _ in 0..40 {
+        let futures: Vec<_> = (0..8)
+            .map(|i: u64| {
+                rt.spawn(move || {
+                    let t = std::time::Instant::now();
+                    let mut acc = i;
+                    while t.elapsed() < std::time::Duration::from_micros(100) {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    }
+                    std::hint::black_box(acc)
+                })
+            })
+            .collect();
+        for f in futures {
+            f.get();
+        }
+        std::thread::sleep(std::time::Duration::from_micros(1500));
+    }
+    rt.wait_idle();
+
+    let eval = |counter: &str| {
+        reg.evaluate(&format!("/threads{W0}/{counter}"), false)
+            .unwrap()
+            .value
+    };
+    let exec = eval("time/cumulative");
+    let overhead = eval("time/cumulative-overhead");
+    let rate = eval("idle-rate");
+    let lifetime = t0.elapsed().as_nanos() as i64;
+    rt.shutdown();
+
+    assert!(exec > 0 && (0..10_000).contains(&rate), "rate {rate}");
+    let busy = exec + overhead;
+    let idle = (busy as f64 * rate as f64 / (10_000.0 - rate as f64)) as i64;
+    let accounted = busy + idle;
+    let err = (accounted - lifetime) as f64 / lifetime as f64;
+    assert!(
+        err.abs() <= 0.10,
+        "worker 0 accounted {accounted}ns over a {lifetime}ns life ({:+.1} %): \
+         exec={exec} overhead={overhead} idle≈{idle}",
+        err * 100.0
     );
 }
 

@@ -250,6 +250,53 @@ fn find_loop_time_accounting_balances_against_wall_clock() {
     rt.shutdown();
 }
 
+/// Regression: a `Sync` spawn into runtime B issued by a worker of runtime
+/// A used to index B's per-worker stats with A's worker index — a panic
+/// for A's worker 1 when B has one worker, and a silent misbooking into
+/// B's `worker-thread#0` for A's worker 0. Both are external threads to B:
+/// the runs must count in B's total and leave B's worker 0 untouched.
+#[test]
+fn sync_spawn_into_another_runtime_books_to_its_external_sink() {
+    let a = Runtime::new(RuntimeConfig::with_workers(2));
+    let b = Runtime::new(RuntimeConfig::with_workers(1));
+    let eval = |path: &str| b.registry().evaluate(path, false).unwrap().value;
+    let total = "/threads{locality#0/total}/count/cumulative";
+    let w0 = "/threads{locality#0/worker-thread#0}/count/cumulative";
+    let (total_before, w0_before) = (eval(total), eval(w0));
+
+    // Two A tasks that meet at a barrier run on A's two workers at once,
+    // so both worker indices issue spawns into B.
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let tasks: Vec<_> = (0..2u64)
+        .map(|t| {
+            let hb = b.handle();
+            let barrier = barrier.clone();
+            a.spawn(move || {
+                barrier.wait();
+                let worker = Runtime::current_worker().expect("runs on an A worker");
+                let sum: u64 = (0..4u64)
+                    .map(|i| hb.spawn_with(LaunchPolicy::Sync, move || t * 4 + i).get())
+                    .sum();
+                (worker, sum)
+            })
+        })
+        .collect();
+    let mut workers: Vec<usize> = Vec::new();
+    let mut sum = 0;
+    for f in tasks {
+        let (w, s) = f.get();
+        workers.push(w);
+        sum += s;
+    }
+    workers.sort_unstable();
+    assert_eq!(workers, vec![0, 1], "both A workers spawned into B");
+    assert_eq!(sum, (0..8).sum::<u64>());
+    assert_eq!(eval(total) - total_before, 8, "B's total counts every run");
+    assert_eq!(eval(w0) - w0_before, 0, "no run is booked to B's worker 0");
+    a.shutdown();
+    b.shutdown();
+}
+
 /// Deep fork/join through the single-allocation task cells: results stay
 /// correct and the overhead counter stays well-formed while every join is
 /// a helping wait.
