@@ -612,7 +612,7 @@ pub(crate) fn register_runtime_counters(
         |s| s.breaker_trips.load(Ordering::Relaxed),
     );
 
-    // Anomaly-detector episode counts (DESIGN.md §15). Counters expose
+    // Anomaly-detector episode counts (DESIGN.md §14). Counters expose
     // *episodes*, not ticks: a storm that holds for 50 watchdog ticks is
     // one increment, so a policy thresholding on these reacts to events,
     // not durations.
@@ -622,11 +622,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/anomaly/steal-storms",
         "steal-storm episodes (steal/exec ratio spiked over its EWMA baseline)",
         "1",
-        |i| {
-            i.state
-                .anomalies
-                .count(crate::anomaly::AnomalyKind::StealStorm) as i64
-        },
+        |i| i.state.anomalies.count(crate::AnomalyKind::StealStorm) as i64,
     );
     register_total_monotonic(
         registry,
@@ -637,7 +633,7 @@ pub(crate) fn register_runtime_counters(
         |i| {
             i.state
                 .anomalies
-                .count(crate::anomaly::AnomalyKind::GranularityCollapse) as i64
+                .count(crate::AnomalyKind::GranularityCollapse) as i64
         },
     );
     register_total_monotonic(
@@ -646,11 +642,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/anomaly/idle-spikes",
         "idle-spike episodes (cores starved while a backlog existed)",
         "1",
-        |i| {
-            i.state
-                .anomalies
-                .count(crate::anomaly::AnomalyKind::IdleSpike) as i64
-        },
+        |i| i.state.anomalies.count(crate::AnomalyKind::IdleSpike) as i64,
     );
     register_total_monotonic(
         registry,

@@ -33,8 +33,8 @@ use std::time::Duration;
 use rpx_counters::CounterRegistry;
 
 /// Synthetic steals added per storming watchdog tick by an injected steal
-/// storm — far above any plausible per-tick steal rate, so the anomaly
-/// detector's ratio test trips regardless of real workload activity.
+/// storm — far above any plausible per-tick steal rate, so the health
+/// detector's steal-storm test trips regardless of real workload activity.
 pub const STEAL_STORM_PER_TICK: u64 = 10_000;
 
 /// Panic payload used by every injected fault, so tests and panic hooks
@@ -67,7 +67,7 @@ pub struct FaultPlan {
     /// Probability (ppm) a flaky counter read fails.
     pub counter_fail_ppm: u32,
     /// Inject a synthetic steal storm for this many initial watchdog
-    /// ticks: the watchdog adds a large fake steal count to the anomaly
+    /// ticks: the watchdog adds a large fake steal count to the health
     /// detector's signals each of those ticks, which must open exactly one
     /// steal-storm episode (`/runtime/anomaly/steal-storms`). Deterministic
     /// — no ppm draw — so chaos tests can assert the episode count exactly.
@@ -348,7 +348,7 @@ impl FaultInjector {
         self.roll(self.plan.counter_fail_ppm, &self.counter_fails, 4)
     }
 
-    /// Cumulative *synthetic* steals the watchdog folds into the anomaly
+    /// Cumulative *synthetic* steals the watchdog folds into the health
     /// detector's steal signal as of its `tick`-th sample (0-based): each
     /// of the first `steal_storm_ticks` ticks contributes
     /// [`STEAL_STORM_PER_TICK`] fake steals, so the per-tick delta is a

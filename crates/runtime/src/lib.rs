@@ -53,14 +53,13 @@
 
 pub mod admission;
 pub mod affinity;
-pub mod anomaly;
 pub mod cancel;
 mod counters;
+mod detector;
 pub mod faults;
 pub mod future;
 #[cfg(all(test, rpx_model))]
 mod model_specs;
-pub mod overload;
 pub mod policy;
 mod prim;
 mod scheduler;
@@ -75,11 +74,10 @@ pub mod runtime;
 
 pub use admission::AdmissionControl;
 pub use affinity::{BindSpec, Topology};
-pub use anomaly::{AnomalyEvent, AnomalyKind};
 pub use cancel::{CancelToken, TaskCancelled};
+pub use detector::{AnomalyEvent, AnomalyKind, OverloadState};
 pub use faults::{FaultInjector, FaultPlan, InjectedFault, UnknownFaultVars, KNOWN_FAULT_VARS};
 pub use future::{ready_future, TaskFuture};
-pub use overload::OverloadState;
 pub use policy::{LaunchPolicy, OverloadPolicy};
 pub use runtime::{QuiesceReport, Runtime, RuntimeConfig, RuntimeHandle, SpawnError};
 pub use scheduler::SchedulerMode;

@@ -14,11 +14,10 @@ use rpx_papi::Pmu;
 
 use crate::admission::{AdmissionControl, AdmissionGate};
 use crate::affinity::{BindSpec, Topology};
-use crate::anomaly::{AnomalyEvent, AnomalyLog};
 use crate::cancel::CancelToken;
+use crate::detector::{AnomalyEvent, AnomalyLog, OverloadState};
 use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
 use crate::future::{FutureCore, Shared, TaskFuture};
-use crate::overload::OverloadState;
 use crate::policy::{LaunchPolicy, OverloadPolicy};
 use crate::scheduler::{Runnable, Scheduler, SchedulerMode, Task, TaskRepr};
 use crate::slab::{Slab, SlabJoin, SlabSlotRef, SpawnMeta};
@@ -172,7 +171,7 @@ pub(crate) struct RuntimeState {
     /// (feeds `/runtime/health/overload-state`).
     pub overload_state: AtomicI64,
     /// Anomaly episodes the watchdog's detector recorded
-    /// (feeds `/runtime/anomaly/*`; see [`crate::anomaly`]).
+    /// (feeds `/runtime/anomaly/*`; see [`crate::detector`]).
     pub anomalies: Arc<AnomalyLog>,
 }
 
@@ -307,7 +306,7 @@ pub struct QuiesceReport {
 /// rt.shutdown();
 /// ```
 pub struct Runtime {
-    inner: Arc<RuntimeInner>,
+    pub(crate) inner: Arc<RuntimeInner>,
     threads: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
 }
@@ -635,8 +634,8 @@ impl Runtime {
     }
 
     /// Anomaly episodes the watchdog's detector has recorded so far,
-    /// oldest first (episode *counts* are also exposed as the
-    /// `/runtime/anomaly/*` counters; see [`crate::anomaly`]).
+    /// oldest first (episode *counts* per [`AnomalyKind`](crate::AnomalyKind)
+    /// are also exposed as the `/runtime/anomaly/*` counters).
     pub fn anomalies(&self) -> Vec<AnomalyEvent> {
         self.inner.state.anomalies.events()
     }
@@ -820,18 +819,11 @@ struct TaskCell<T, F> {
     body: Mutex<Option<F>>,
     state: Arc<RuntimeState>,
     faults: Option<Arc<FaultInjector>>,
-    token: Option<CancelToken>,
+    /// The same per-task record a slab slot carries.
+    spawn: SpawnMeta,
     /// The admission slot this task holds (queued tasks under admission
     /// control only); returned via `note_started` when the body is taken.
     gate: Option<Arc<AdmissionGate>>,
-    task_id: u64,
-    /// Causal parent: the task whose body issued this spawn (None when
-    /// spawned from outside any task).
-    parent: Option<u64>,
-    /// Interned spawn-site id (see [`crate::trace::site_name`]).
-    site: u32,
-    /// Spawn timestamp; start − spawn is the task's queue wait.
-    spawned_ns: u64,
     /// Whether this task participates in the `live` count (scheduled
     /// tasks; inline and deferred ones never enter a queue).
     track_live: bool,
@@ -856,19 +848,23 @@ where
             body: Mutex::new(Some(f)),
             state: inner.state.clone(),
             faults: inner.faults.clone(),
-            token,
+            spawn: SpawnMeta {
+                task_id,
+                parent: current_task_id().unwrap_or(u64::MAX),
+                site,
+                spawned_ns,
+                token,
+                holds_gate: false,
+            },
             gate: None,
-            task_id,
-            parent: current_task_id(),
-            site,
-            spawned_ns,
             track_live: false,
         }
     }
 
     /// The same cell for a queued task: it counts in `live` and may hold
     /// an admission slot.
-    fn queued(self, gate: Option<Arc<AdmissionGate>>) -> Self {
+    fn queued(mut self, gate: Option<Arc<AdmissionGate>>) -> Self {
+        self.spawn.holds_gate = gate.is_some();
         TaskCell {
             gate,
             track_live: true,
@@ -892,24 +888,71 @@ where
         let Some(f) = self.body.lock().take() else {
             return start;
         };
-        let state = &self.state;
+        TaskRun {
+            state: &self.state,
+            faults: self.faults.as_deref(),
+            spawn: &self.spawn,
+            gate: self.gate.as_deref(),
+            worker,
+            track_live: self.track_live,
+        }
+        .run(
+            start,
+            || std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)),
+            |outcome| match outcome {
+                None => self.shared.complete_cancelled(),
+                Some(Ok(v)) => self.shared.complete(v),
+                Some(Err(p)) => self.shared.complete_panicked(p),
+            },
+        )
+    }
+}
+
+/// One task run as the instrumentation envelope sees it, read out of a
+/// heap [`TaskCell`] or a claimed slab slot.
+struct TaskRun<'a> {
+    state: &'a RuntimeState,
+    faults: Option<&'a FaultInjector>,
+    spawn: &'a SpawnMeta,
+    /// The admission gate; a task that `holds_gate` returns its slot as
+    /// it leaves the queue.
+    gate: Option<&'a AdmissionGate>,
+    /// The runner's index among this runtime's workers (`None` books to
+    /// the external sink).
+    worker: Option<usize>,
+    /// Whether the task counts in `live` (queued tasks only).
+    track_live: bool,
+}
+
+impl TaskRun<'_> {
+    /// The per-task instrumentation both task representations share:
+    /// gate return, cancellation check, fault injection, net/nested
+    /// timing and the span record — all *before* `publish` completes the
+    /// future, so a thread observing it ready sees the task in the
+    /// counters. `body` runs the closure (catching its panic); `publish`
+    /// completes the future with its outcome, or cancelled on `None`.
+    /// `start` opens the execution window; returns the reading that
+    /// closed it (`start` for a cancelled task).
+    #[inline(always)]
+    fn run<R>(self, start: u64, body: impl FnOnce() -> R, publish: impl FnOnce(Option<R>)) -> u64 {
+        let (state, spawn) = (self.state, self.spawn);
         // The task left the queue (it either runs now or is cancelled):
         // return its admission slot so backpressured spawners proceed.
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = self.gate.filter(|_| spawn.holds_gate) {
             gate.note_started();
         }
-        let stats = state.sink(worker);
-        let cancelled = self.token.as_ref().is_some_and(CancelToken::is_cancelled)
+        let stats = state.sink(self.worker);
+        let cancelled = spawn.token.as_ref().is_some_and(CancelToken::is_cancelled)
             || (self.track_live && state.quiesce_cancel.load(Ordering::Acquire));
         if cancelled {
             stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            self.shared.complete_cancelled();
+            publish(None);
             if self.track_live {
                 state.note_task_finished();
             }
             return start;
         }
-        if let Some(faults) = &self.faults {
+        if let Some(faults) = self.faults {
             if faults.inject_task_panic() {
                 // Transient-fault-with-retry: exercise the unwind path,
                 // recover, and run the real body.
@@ -922,8 +965,8 @@ where
         let nested_before = NESTED_EXEC_NS.with(|c| c.get());
         // Mark this task as the causal parent of anything its body spawns
         // (restored below — help-execution nests bodies on one thread).
-        let prev_task = CURRENT_TASK.with(|c| c.replace(self.task_id));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let prev_task = CURRENT_TASK.with(|c| c.replace(spawn.task_id));
+        let outcome = body();
         let end = state.clock.now_ns();
         CURRENT_TASK.with(|c| c.set(prev_task));
         stats.leave_task();
@@ -937,18 +980,18 @@ where
             .saturating_sub(nested_before);
         let net = gross.saturating_sub(nested_during);
         NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
-        let wait_ns = start.saturating_sub(self.spawned_ns);
+        let wait_ns = start.saturating_sub(spawn.spawned_ns);
         stats.record_execution(net, wait_ns);
         // The span records gross start..end plus `nested_ns`, so readers
         // can reconstruct both views; net (gross − nested) is what the
         // profile and the causal analyzer sum — matching the stats above.
         state.tracer.record_on(
-            worker,
+            self.worker,
             TaskSpan {
-                task_id: self.task_id,
-                parent: self.parent,
-                site: self.site,
-                worker: worker.map_or(EXTERNAL_WORKER, |w| w as u32),
+                task_id: spawn.task_id,
+                parent: (spawn.parent != u64::MAX).then_some(spawn.parent),
+                site: spawn.site,
+                worker: self.worker.map_or(EXTERNAL_WORKER, |w| w as u32),
                 start_ns: start,
                 end_ns: end,
                 wait_ns,
@@ -956,10 +999,7 @@ where
             },
             &state.clock,
         );
-        match result {
-            Ok(v) => self.shared.complete(v),
-            Err(p) => self.shared.complete_panicked(p),
-        }
+        publish(Some(outcome));
         if self.track_live {
             state.note_task_finished();
         }
@@ -1048,7 +1088,7 @@ enum Admit {
     Inline,
 }
 
-fn admit_for_queue(inner: &Arc<RuntimeInner>, _spawner: Option<worker::WorkerRef>) -> Admit {
+fn admit_for_queue(inner: &Arc<RuntimeInner>) -> Admit {
     if inner.draining.load(Ordering::SeqCst) {
         return Admit::Inline;
     }
@@ -1157,13 +1197,12 @@ where
 }
 
 /// Run a slab-resident task on worker `widx` with its execution window
-/// opening at `start`; returns the reading that closed it. The mirror of
-/// [`TaskCell::run_body`] with identical instrumentation order (gate
-/// return, cancellation check, fault injection, net/nested timing, span
-/// record — all *before* the completion publish, so a thread observing the
-/// future ready sees the task in the counters). Slab tasks are always
-/// queued, so they always track `live`, and only worker loops dispatch
-/// them, so `widx` is always the calling thread's own stats block.
+/// opening at `start`; returns the reading that closed it. The claim
+/// takes the body; [`TaskRun::run`] instruments it exactly as it does a
+/// heap task, and the slot is released after the completion publish.
+/// Slab tasks are always queued, so they always track `live`, and only
+/// worker loops dispatch them, so `widx` is always the calling thread's
+/// own stats block.
 pub(crate) fn run_slab_task(
     inner: &Arc<RuntimeInner>,
     slot_ref: &SlabSlotRef,
@@ -1175,75 +1214,26 @@ pub(crate) fn run_slab_task(
     if !slab.claim(idx) {
         return start;
     }
-    let state = &inner.state;
     // SAFETY: we won the claim; meta/payload are ours until runner_done.
-    let (task_id, parent, site, spawned_ns, cancelled, holds_gate) = unsafe {
-        let meta = slab.meta(idx);
-        (
-            meta.spawn.task_id,
-            meta.spawn.parent,
-            meta.spawn.site,
-            meta.spawn.spawned_ns,
-            meta.spawn
-                .token
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-                || state.quiesce_cancel.load(Ordering::Acquire),
-            meta.spawn.holds_gate,
-        )
-    };
-    if holds_gate {
-        if let Some(gate) = &inner.gate {
-            gate.note_started();
-        }
+    let spawn = unsafe { &slab.meta(idx).spawn };
+    let end = TaskRun {
+        state: &inner.state,
+        faults: inner.faults.as_deref(),
+        spawn,
+        gate: inner.gate.as_deref(),
+        worker: Some(widx),
+        track_live: true,
     }
-    let stats = &state.stats[widx];
-    if cancelled {
-        stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: claimant; drops the un-run closure, publishes cancelled.
-        unsafe { slab.cancel_claimed(idx) };
-        state.note_task_finished();
-        slab.runner_done(idx);
-        return start;
-    }
-    if let Some(faults) = &inner.faults {
-        if faults.inject_task_panic() {
-            let _ = std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
-            stats.recovered.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    stats.enter_task();
-    let nested_before = NESTED_EXEC_NS.with(|c| c.get());
-    let prev_task = CURRENT_TASK.with(|c| c.replace(task_id));
-    // SAFETY: claimant; consumes the closure (catches panics internally).
-    let outcome = unsafe { slab.run_claimed(idx) };
-    let end = state.clock.now_ns();
-    CURRENT_TASK.with(|c| c.set(prev_task));
-    stats.leave_task();
-    let gross = end.saturating_sub(start);
-    let nested_during = NESTED_EXEC_NS
-        .with(|c| c.get())
-        .saturating_sub(nested_before);
-    let net = gross.saturating_sub(nested_during);
-    NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
-    let wait_ns = start.saturating_sub(spawned_ns);
-    stats.record_execution(net, wait_ns);
-    state.tracer.record_on(
-        Some(widx),
-        TaskSpan {
-            task_id,
-            parent: (parent != u64::MAX).then_some(parent),
-            site,
-            worker: widx as u32,
-            start_ns: start,
-            end_ns: end,
-            wait_ns,
-            nested_ns: nested_during,
+    .run(
+        start,
+        // SAFETY: claimant; consumes the closure (catches panics internally).
+        || unsafe { slab.run_claimed(idx) },
+        |outcome| match outcome {
+            // SAFETY: claimant; drops the un-run closure, publishes cancelled.
+            None => unsafe { slab.cancel_claimed(idx) },
+            Some(outcome) => slab.publish(idx, outcome),
         },
-        &state.clock,
     );
-    slab.publish(idx, outcome);
-    state.note_task_finished();
     slab.runner_done(idx);
     end
 }
@@ -1298,7 +1288,7 @@ where
             cell.shared.set_deferred(Box::new(move || c2.run_here()));
             TaskFuture::from_core(cell)
         }
-        LaunchPolicy::Async | LaunchPolicy::Fork => match admit_for_queue(inner, spawner) {
+        LaunchPolicy::Async | LaunchPolicy::Fork => match admit_for_queue(inner) {
             Admit::Queue(gate) => queue_task(inner, task_id, site, f, token, spawner, gate),
             Admit::Inline => run_inline(f, token),
         },

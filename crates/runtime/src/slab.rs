@@ -131,12 +131,16 @@ impl<T: Send + 'static, F: FnOnce() -> T + Send + 'static> VTableOf<T, F> {
     }
 }
 
-/// Per-task metadata supplied by the spawner.
+/// Per-task metadata supplied by the spawner (a slab slot's, or a heap
+/// task cell's).
 pub(crate) struct SpawnMeta {
     pub task_id: u64,
-    /// `u64::MAX` = no parent.
+    /// Causal parent: the task whose body issued this spawn (`u64::MAX`
+    /// when spawned from outside any task).
     pub parent: u64,
+    /// Interned spawn-site id (see [`crate::trace::site_name`]).
     pub site: u32,
+    /// Spawn timestamp; start − spawn is the task's queue wait.
     pub spawned_ns: u64,
     pub token: Option<crate::cancel::CancelToken>,
     /// The spawn passed admission and owes the gate a `note_started`.

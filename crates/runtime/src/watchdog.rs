@@ -1,6 +1,6 @@
 //! Worker watchdog: a supervisor thread that heartbeats the workers,
 //! records stall episodes into the `/runtime/health/stalls` counter, and
-//! runs the overload detector over the counter stream.
+//! runs the health [`detector`](crate::detector) over the counter stream.
 //!
 //! Every worker bumps [`WorkerStats::heartbeat`](crate::stats::WorkerStats)
 //! once per scheduling-loop iteration and once per work-helping iteration —
@@ -27,8 +27,7 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::anomaly::{AnomalyDetector, AnomalySignals};
-use crate::overload::{OverloadDetector, OverloadSignals};
+use crate::detector::{Detector, Signals};
 use crate::runtime::{RuntimeConfig, RuntimeInner};
 
 /// Token-bucket restart budget + exponential backoff parameters (derived
@@ -142,8 +141,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
         .name("rpx-watchdog".into())
         .spawn(move || {
             let mut watches: Vec<Watch> = Vec::new();
-            let mut detector = OverloadDetector::new();
-            let mut anomaly = AnomalyDetector::new();
+            let mut detector = Detector::default();
             let mut tick: u64 = 0;
             loop {
                 std::thread::sleep(interval);
@@ -151,8 +149,14 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                overload_tick(&inner, &mut detector, interval);
-                anomaly_tick(&inner, &mut anomaly, interval, tick);
+                // New episodes land in `/runtime/anomaly/*`, the verdict in
+                // `/runtime/health/overload-state`.
+                let signals = Signals::read(&inner, interval, tick);
+                let state = detector.tick(signals, &inner.state.anomalies);
+                inner
+                    .state
+                    .overload_state
+                    .store(state.as_i64(), Ordering::Release);
                 // Clock hygiene: cross-check the TSC fast path against
                 // Instant and re-derive its multiplier on drift, so long
                 // runs don't accumulate skew in every duration counter
@@ -203,64 +207,6 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
             }
         })
         .expect("failed to spawn watchdog thread")
-}
-
-/// Feed one watchdog tick of counter readings to the overload detector
-/// and publish the verdict (`/runtime/health/overload-state`).
-fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, interval: Duration) {
-    let (pending, capacity) = match &inner.gate {
-        Some(gate) => (gate.pending(), gate.limits().0 as i64),
-        // Admission off: depth scoring is disabled (capacity 0); the
-        // detector still sees steal storms and idle collapse.
-        None => (inner.scheduler.pending_tasks(), 0),
-    };
-    let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
-    let state = detector.tick(OverloadSignals {
-        pending,
-        capacity,
-        steals: inner.state.total(|s| s.stolen.load(Ordering::Relaxed)),
-        executed: inner.state.total(|s| s.executed.load(Ordering::Relaxed)),
-        idle_ns: inner.state.total(|s| s.idle_ns.load(Ordering::Relaxed)),
-        tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
-    });
-    inner
-        .state
-        .overload_state
-        .store(state.as_i64(), Ordering::Release);
-}
-
-/// Feed one watchdog tick of counter readings to the anomaly detector;
-/// new episodes land in `state.anomalies` (the `/runtime/anomaly/*`
-/// counters). An injected steal storm ([`FaultPlan::steal_storm_ticks`]
-/// (crate::faults::FaultPlan)) adds synthetic steals here — and only here,
-/// so the scheduler's real steal counters stay truthful.
-fn anomaly_tick(
-    inner: &Arc<RuntimeInner>,
-    detector: &mut AnomalyDetector,
-    interval: Duration,
-    tick: u64,
-) {
-    let injected_steals = inner
-        .faults
-        .as_ref()
-        .map_or(0, |f| f.steal_storm_steals(tick));
-    let pending = match &inner.gate {
-        Some(gate) => gate.pending(),
-        None => inner.scheduler.pending_tasks(),
-    };
-    let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
-    detector.tick(
-        AnomalySignals {
-            steals: inner.state.total(|s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
-            executed: inner.state.total(|s| s.executed.load(Ordering::Relaxed)),
-            exec_ns: inner.state.total(|s| s.exec_ns.load(Ordering::Relaxed)),
-            idle_ns: inner.state.total(|s| s.idle_ns.load(Ordering::Relaxed)),
-            tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
-            pending,
-            now_ns: inner.state.clock.now_ns(),
-        },
-        &inner.state.anomalies,
-    );
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Integration tests for the spawn/join hot path: lost-wakeup freedom
 //! under concurrent external spawning and parking workers, the timed-wait
-//! semantics of deferred futures, and the pending-accounting health
-//! counter.
+//! semantics of deferred futures, the pending-accounting health counter,
+//! and the parity of slab-resident and heap task runs.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpx::runtime::{LaunchPolicy, Runtime, RuntimeConfig};
+use rpx::counters::CounterRegistry;
+use rpx::runtime::{CancelToken, LaunchPolicy, Runtime, RuntimeConfig, RuntimeHandle, TaskTracer};
 
 /// Lost-wakeup stress: external threads spawn trivial tasks with gaps long
 /// enough for workers to park between bursts, exercising the racy edge of
@@ -320,5 +322,100 @@ fn recursive_fork_join_via_task_cells() {
         .evaluate("/threads{locality#0/total}/time/average-overhead", false)
         .unwrap();
     assert!(overhead.value >= 0);
+    rt.shutdown();
+}
+
+/// Tasks of each parity set that run to completion.
+const PARITY_NORMAL: usize = 8;
+
+/// Counters whose deltas a slab task set and a heap task set must agree
+/// on, plus the fallback-allocation count that tells the two paths apart.
+const PARITY_COUNTERS: [&str; 4] = [
+    "/threads{locality#0/total}/count/cumulative",
+    "/runtime{locality#0/total}/health/cancelled-tasks",
+    "/threads{locality#0/total}/count/spawned",
+    "/runtime{locality#0/total}/slab/fallback-allocs",
+];
+
+/// The span fields both task paths must record alike.
+type SpanFields = (Option<u64>, u32, u32);
+
+/// From inside a worker task, spawn `PARITY_NORMAL` tasks, one whose token
+/// is already cancelled and one that panics, every closure capturing
+/// `payload` (whose size picks the slab or the heap path), all through one
+/// spawn site. Returns the deltas of `PARITY_COUNTERS` and the parent,
+/// site and worker of every span the set recorded.
+fn spawn_parity_set<const N: usize>(
+    h: &RuntimeHandle,
+    reg: &Arc<CounterRegistry>,
+    tracer: &TaskTracer,
+    payload: [u8; N],
+) -> ([i64; 4], Vec<SpanFields>) {
+    let read = || PARITY_COUNTERS.map(|name| reg.evaluate(name, false).unwrap().value);
+    let (before, seen) = (read(), tracer.spans());
+    let seen: BTreeSet<u64> = seen.iter().map(|s| s.task_id).collect();
+    let (live, cancelled) = (CancelToken::new(), CancelToken::new());
+    cancelled.cancel();
+    let spawn = |token: &CancelToken, panics: bool| {
+        h.spawn_cancellable(token, move || {
+            assert!(!panics, "parity probe panic");
+            u64::from(payload[N - 1])
+        })
+    };
+    let normal: Vec<_> = (0..PARITY_NORMAL).map(|_| spawn(&live, false)).collect();
+    let skipped = spawn(&cancelled, false);
+    let panicking = spawn(&live, true);
+    for f in normal {
+        assert_eq!(f.get(), 7);
+    }
+    skipped.wait();
+    assert!(skipped.is_cancelled(), "a cancelled token skips the task");
+    let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| panicking.get()));
+    assert!(joined.is_err(), "the task's panic reaches its getter");
+    let after = read();
+    let spans = tracer
+        .spans()
+        .into_iter()
+        .filter(|s| !seen.contains(&s.task_id))
+        .map(|s| (s.parent, s.site, s.worker))
+        .collect();
+    (std::array::from_fn(|i| after[i] - before[i]), spans)
+}
+
+/// Slab-resident and heap tasks run through the same instrumented body:
+/// the same mix of normal, cancelled and panicking tasks, spawned from one
+/// worker task once with closures that fit a slab slot (128 bytes) and
+/// once with 256-byte captures, must book the same executed, cancelled and
+/// spawned counts and record one span per run task with the same parent,
+/// site and worker.
+#[test]
+fn slab_and_heap_tasks_book_identical_counters_and_spans() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+    let tracer = rt.tracer();
+    tracer.enable();
+    let (h, reg) = (rt.handle(), rt.registry());
+    let ((slab, slab_spans), (heap, heap_spans)) = rt
+        .spawn(move || {
+            let slab = spawn_parity_set(&h, &reg, &tracer, [7u8; 16]);
+            let heap = spawn_parity_set(&h, &reg, &tracer, [7u8; 256]);
+            (slab, heap)
+        })
+        .get();
+
+    let mix = (PARITY_NORMAL + 2) as i64;
+    assert_eq!(slab[3], 0, "closures that fit a slot take the slab path");
+    assert_eq!(heap[3], mix, "256-byte captures take the heap path");
+    assert_eq!(slab[..3], heap[..3], "executed, cancelled, spawned deltas");
+    assert_eq!(slab[..3], [mix - 1, 1, mix]);
+
+    assert_eq!(slab_spans.len(), PARITY_NORMAL + 1, "one span per run task");
+    assert_eq!(heap_spans.len(), slab_spans.len());
+    let fields: BTreeSet<SpanFields> = slab_spans.iter().chain(&heap_spans).copied().collect();
+    assert_eq!(
+        fields.len(),
+        1,
+        "every span shares one parent, site and worker: {fields:?}"
+    );
+    assert!(slab_spans[0].0.is_some(), "the spawning task is the parent");
     rt.shutdown();
 }
