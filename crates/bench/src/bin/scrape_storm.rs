@@ -19,9 +19,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rpx_counters::counter::{Counter, RawCounter};
-use rpx_counters::name::{CounterInstance, CounterName};
-use rpx_counters::value::{CounterInfo, CounterKind};
+use rpx_counters::counter::ValueFn;
+use rpx_counters::registry::{Scope, Source};
 use rpx_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
 use rpx_serve::server::{ServeConfig, Server};
 
@@ -49,7 +48,7 @@ fn main() {
             _ => positional.push(arg),
         }
     }
-    let instances: u32 = positional
+    let instances: usize = positional
         .first()
         .and_then(|a| a.parse().ok())
         .unwrap_or(10_000);
@@ -61,35 +60,17 @@ fn main() {
     // The storm population: one counter type, `instances` live instances,
     // all reading a shared cell — the per-object instrumentation shape.
     let cell = Arc::new(AtomicI64::new(0));
-    let clock = registry.clock();
     let c2 = cell.clone();
-    registry.register_type(
-        CounterInfo::new(
-            "/app/cell",
-            CounterKind::MonotonicallyIncreasing,
-            "per-object probe",
-            "1",
-        ),
-        Arc::new(move |name: &CounterName, _| {
-            let mut i = CounterInfo::new(
-                "/app/cell",
-                CounterKind::MonotonicallyIncreasing,
-                "per-object probe",
-                "1",
-            );
-            i.name = name.canonical();
-            let c = c2.clone();
-            Ok(Arc::new(RawCounter::new(
-                i,
-                clock.clone(),
-                Arc::new(move || c.load(Ordering::Relaxed)),
-            )) as Arc<dyn Counter>)
-        }),
-        Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-            for w in 0..instances {
-                f(CounterName::new("app", "cell").with_instance(CounterInstance::worker(0, w)));
-            }
-        })),
+    let read: ValueFn = Arc::new(move || c2.load(Ordering::Relaxed));
+    registry.register_scoped(
+        "/app/cell",
+        "per-object probe",
+        "1",
+        Scope::Workers {
+            locality: 0,
+            workers: instances,
+        },
+        Source::Monotonic(Arc::new(move |_| read.clone())),
     );
 
     let server = Server::start(

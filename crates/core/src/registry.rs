@@ -550,24 +550,54 @@ impl CounterRegistry {
     }
 
     // ------------------------------------------------------------------
-    // Convenience registration helpers for simple single-instance types
+    // Scoped registration
     // ------------------------------------------------------------------
+
+    /// Register a counter type whose instances are laid out by `scope` and
+    /// read through `source`. This is the one place a subsystem's counter
+    /// type turns into a factory and a discoverer: the scope decides which
+    /// instance names are advertised and accepted, the source fixes the
+    /// counter kind and builds the reader of each accepted instance.
+    pub fn register_scoped(
+        &self,
+        type_path: &str,
+        help: &str,
+        unit: &str,
+        scope: Scope,
+        source: Source,
+    ) {
+        let info = CounterInfo::new(type_path, source.kind(), help, unit);
+        let discoverer = scope.discoverer(type_path);
+        let template = info.clone();
+        let clock = self.clock();
+        self.register_type(
+            info,
+            Arc::new(move |name, _reg| {
+                let selected = scope.select(name)?;
+                let mut info = template.clone();
+                info.name = name.canonical();
+                let clock = clock.clone();
+                let counter: Arc<dyn Counter> = match &source {
+                    Source::Raw(read) => Arc::new(RawCounter::new(info, clock, read(selected))),
+                    Source::Monotonic(read) => {
+                        Arc::new(MonotonicCounter::new(info, clock, read(selected)))
+                    }
+                    Source::Average(read) => {
+                        Arc::new(AverageCounter::new(info, clock, read(selected)))
+                    }
+                    Source::Elapsed => Arc::new(ElapsedTimeCounter::new(info, clock)),
+                };
+                Ok(counter)
+            }),
+            discoverer,
+        );
+    }
 
     /// Register a pull-based raw gauge under `type_path`, instantiable with
     /// any (or no) instance name.
     pub fn register_raw(self: &Arc<Self>, type_path: &str, help: &str, unit: &str, read: ValueFn) {
-        let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::Raw, help, unit);
-        let info2 = info.clone();
-        self.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(Arc::new(RawCounter::new(i, clock.clone(), read.clone())) as Arc<dyn Counter>)
-            }),
-            single_instance_discoverer(type_path),
-        );
+        let source = Source::Raw(fixed(read));
+        self.register_scoped(type_path, help, unit, Scope::Any(None), source);
     }
 
     /// Register a pull-based monotonic counter under `type_path`.
@@ -578,21 +608,8 @@ impl CounterRegistry {
         unit: &str,
         read: ValueFn,
     ) {
-        let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, unit);
-        let info2 = info.clone();
-        self.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(MonotonicCounter::new(i, clock.clone(), read.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
-            single_instance_discoverer(type_path),
-        );
+        let source = Source::Monotonic(fixed(read));
+        self.register_scoped(type_path, help, unit, Scope::Any(None), source);
     }
 
     /// Register a (sum, count) average counter under `type_path`.
@@ -603,37 +620,13 @@ impl CounterRegistry {
         unit: &str,
         read: PairFn,
     ) {
-        let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::Average, help, unit);
-        let info2 = info.clone();
-        self.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(AverageCounter::new(i, clock.clone(), read.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
-            single_instance_discoverer(type_path),
-        );
+        let source = Source::Average(fixed(read));
+        self.register_scoped(type_path, help, unit, Scope::Any(None), source);
     }
 
     /// Register an elapsed-time counter under `type_path`.
     pub fn register_elapsed(self: &Arc<Self>, type_path: &str, help: &str) {
-        let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::ElapsedTime, help, "ns");
-        let info2 = info.clone();
-        self.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(Arc::new(ElapsedTimeCounter::new(i, clock.clone())) as Arc<dyn Counter>)
-            }),
-            single_instance_discoverer(type_path),
-        );
+        self.register_scoped(type_path, help, "ns", Scope::Any(None), Source::Elapsed);
     }
 
     /// Register an application-owned settable value; returns the cell the
@@ -655,7 +648,7 @@ impl CounterRegistry {
                 let _ = name;
                 Ok(c2.clone() as Arc<dyn Counter>)
             }),
-            single_instance_discoverer(type_path),
+            Scope::Any(None).discoverer(type_path),
         );
         cell
     }
@@ -712,27 +705,8 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
     for (path, help, unit, read) in specs {
         let weak = Arc::downgrade(reg);
         let value: ValueFn = Arc::new(move || weak.upgrade().map_or(0, |r| read(&r)));
-        let clock = reg.clock();
-        let info = CounterInfo::new(path, CounterKind::MonotonicallyIncreasing, help, unit);
-        let info2 = info.clone();
-        let advertised: CounterName = match path.parse::<CounterName>() {
-            Ok(n) => n.with_instance(CounterInstance::total(0)),
-            Err(_) => continue,
-        };
-        reg.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(MonotonicCounter::new(i, clock.clone(), value.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
-            Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-                f(advertised.clone())
-            })),
-        );
+        let scope = Scope::Any(Some(CounterInstance::total(0)));
+        reg.register_scoped(path, help, unit, scope, Source::Monotonic(fixed(value)));
     }
     // Signed gauge: the last TSC−Instant error a completed drift check
     // observed (ppm). Raw, not monotonic — it moves both ways.
@@ -746,13 +720,116 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
     );
 }
 
-/// Discoverer advertising exactly the bare type path as the only instance.
-fn single_instance_discoverer(type_path: &str) -> Option<CounterDiscoverer> {
-    let name: Result<CounterName, _> = type_path.parse();
-    match name {
-        Ok(n) => Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| f(n.clone()))),
-        Err(_) => None,
+/// Builds the reader of one selected instance: `None` is the total,
+/// `Some(w)` is worker `w`. It runs once, when the instance is created; the
+/// closure it returns is what every read of that instance calls.
+pub type InstanceFn<F> = Arc<dyn Fn(Option<usize>) -> F + Send + Sync>;
+
+/// What a [scoped](CounterRegistry::register_scoped) counter type reads.
+/// The variant fixes the counter kind, so a kind is never paired with the
+/// wrong reader.
+pub enum Source {
+    /// An instantaneous sample ([`CounterKind::Raw`]).
+    Raw(InstanceFn<ValueFn>),
+    /// A value that only grows ([`CounterKind::MonotonicallyIncreasing`]).
+    Monotonic(InstanceFn<ValueFn>),
+    /// A mean over a (sum, count) pair ([`CounterKind::Average`]).
+    Average(InstanceFn<PairFn>),
+    /// Time since the instance was created ([`CounterKind::ElapsedTime`]).
+    Elapsed,
+}
+
+impl Source {
+    fn kind(&self) -> CounterKind {
+        match self {
+            Source::Raw(_) => CounterKind::Raw,
+            Source::Monotonic(_) => CounterKind::MonotonicallyIncreasing,
+            Source::Average(_) => CounterKind::Average,
+            Source::Elapsed => CounterKind::ElapsedTime,
+        }
     }
+}
+
+/// Which instances of a [scoped](CounterRegistry::register_scoped) counter
+/// type are advertised to discovery and accepted by the factory.
+#[derive(Clone, Debug)]
+pub enum Scope {
+    /// Every instance name (or none) is accepted and reads the total; only
+    /// the given instance is advertised (`None`: the bare type path).
+    Any(Option<CounterInstance>),
+    /// Only the bare name or `{locality#L/total}` is accepted; the total is
+    /// advertised.
+    Total(u32),
+    /// The total plus `{locality#L/worker-thread#N}` for `N < workers` are
+    /// accepted and advertised.
+    Workers {
+        /// Locality the instances are advertised under.
+        locality: u32,
+        /// Number of `worker-thread#N` instances.
+        workers: usize,
+    },
+}
+
+impl Scope {
+    /// The instance `name` selects: `None` for the total, `Some(w)` for
+    /// worker `w`, or `UnknownInstance` if this scope does not accept it.
+    fn select(&self, name: &CounterName) -> Result<Option<usize>, CounterError> {
+        let inst = match (&name.instance, self) {
+            (None, _) | (_, Scope::Any(_)) => return Ok(None),
+            (Some(inst), _) if inst.is_total() => return Ok(None),
+            (Some(inst), _) => inst,
+        };
+        let Scope::Workers { workers, .. } = *self else {
+            return Err(CounterError::UnknownInstance(format!(
+                "`{name}` exists only as the total instance"
+            )));
+        };
+        let worker = inst
+            .children
+            .iter()
+            .find(|c| c.name == "worker-thread")
+            .and_then(|c| match c.index {
+                Some(InstanceIndex::At(i)) => Some(i as usize),
+                _ => None,
+            })
+            .ok_or_else(|| {
+                CounterError::UnknownInstance(format!(
+                    "`{name}`: expected total or worker-thread#N"
+                ))
+            })?;
+        if worker >= workers {
+            return Err(CounterError::UnknownInstance(format!(
+                "`{name}`: only {workers} worker-thread instances"
+            )));
+        }
+        Ok(Some(worker))
+    }
+
+    /// The discoverer listing the instances this scope advertises for
+    /// `type_path` (`None` if the path does not parse).
+    fn discoverer(&self, type_path: &str) -> Option<CounterDiscoverer> {
+        let base: CounterName = type_path.parse().ok()?;
+        let scope = self.clone();
+        Some(Arc::new(
+            move |f: &mut dyn FnMut(CounterName)| match &scope {
+                Scope::Any(None) => f(base.clone()),
+                Scope::Any(Some(inst)) => f(base.reinstantiate(inst.clone())),
+                Scope::Total(locality) => f(base.reinstantiate(CounterInstance::total(*locality))),
+                Scope::Workers { locality, workers } => {
+                    f(base.reinstantiate(CounterInstance::total(*locality)));
+                    for w in 0..*workers as u32 {
+                        f(base.reinstantiate(CounterInstance::worker(*locality, w)));
+                    }
+                }
+            },
+        ))
+    }
+}
+
+/// An instance reader that ignores the selection: every instance reads
+/// `read`.
+fn fixed<F: Clone + Send + Sync + 'static>(read: F) -> InstanceFn<F> {
+    Arc::new(move |_| read.clone())
 }
 
 /// Whether concrete name `c` is matched by wildcard pattern `p`.

@@ -20,6 +20,10 @@ use crate::stats::{RunningStats, SampleWindow};
 use crate::value::{CounterInfo, CounterKind, CounterStatus, CounterValue};
 
 const DEFAULT_WINDOW: usize = 64;
+/// Largest window a name may ask for — the same cap as histogram buckets.
+/// The window is allocated when the counter is created, so an unbounded
+/// size taken from a counter name would abort the process.
+const MAX_WINDOW: f64 = 100_000.0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stat {
@@ -158,11 +162,11 @@ pub fn register_statistics(registry: &Arc<CounterRegistry>) {
                 let window = tail
                     .first()
                     .map(|w| {
-                        if *w >= 1.0 && w.fract() == 0.0 {
+                        if *w >= 1.0 && w.fract() == 0.0 && *w <= MAX_WINDOW {
                             Ok(*w as usize)
                         } else {
                             Err(CounterError::InvalidParameters(format!(
-                                "window size must be a positive integer, got {w}"
+                                "window size must be an integer in 1..={MAX_WINDOW}, got {w}"
                             )))
                         }
                     })
@@ -305,6 +309,12 @@ mod tests {
             .is_err());
         assert!(reg
             .evaluate("/statistics/median@/src/value,2.5", false)
+            .is_err());
+        assert!(reg
+            .evaluate("/statistics/median@/src/value,1e12", false)
+            .is_err());
+        assert!(reg
+            .evaluate("/statistics/median@/src/value,1e300", false)
             .is_err());
     }
 

@@ -5,13 +5,13 @@
 //! - `/papi{locality#0/total}/<EVENT>` — event summed over all domains
 //! - `/papi{locality#0/worker-thread#N}/<EVENT>` — one domain
 //! - wildcard `/papi{locality#0/worker-thread#*}/<EVENT>` expands as usual
+//!
+//! The bare `/papi/<EVENT>` means the total, like HPX's default.
 
 use std::sync::Arc;
 
-use rpx_counters::name::{CounterInstance, CounterName, InstanceIndex};
-use rpx_counters::registry::CounterRegistry;
-use rpx_counters::value::CounterKind;
-use rpx_counters::CounterError;
+use rpx_counters::counter::ValueFn;
+use rpx_counters::registry::{CounterRegistry, Scope, Source};
 
 use crate::events::HwEvent;
 use crate::pmu::Pmu;
@@ -21,83 +21,23 @@ use crate::pmu::Pmu;
 /// Counter kind is monotonic, so the registry's reset/evaluate protocol
 /// measures per-interval event deltas without disturbing the PMU itself.
 pub fn register_papi_counters(registry: &Arc<CounterRegistry>, pmu: &Arc<Pmu>, locality: u32) {
+    let scope = Scope::Workers {
+        locality,
+        workers: pmu.domain_count(),
+    };
     for event in HwEvent::ALL {
-        let type_path = format!("/papi/{}", event.papi_name());
-        let info = rpx_counters::CounterInfo::new(
-            &type_path,
-            CounterKind::MonotonicallyIncreasing,
-            event.description(),
-            "1",
-        );
-        let pmu_for_factory = pmu.clone();
-        let clock = registry.clock();
-        let domains = pmu.domain_count() as u32;
-        registry.register_type(
-            info,
-            Arc::new(move |name: &CounterName, _reg| {
-                let pmu = pmu_for_factory.clone();
-                let read: rpx_counters::counter::ValueFn =
-                    match domain_of(name, pmu.domain_count())? {
-                        DomainSel::Total => Arc::new(move || pmu.read_total(event) as i64),
-                        DomainSel::One(d) => Arc::new(move || pmu.read(d, event) as i64),
-                    };
-                let info = rpx_counters::CounterInfo::new(
-                    name.canonical(),
-                    CounterKind::MonotonicallyIncreasing,
-                    event.description(),
-                    "1",
-                );
-                Ok(Arc::new(rpx_counters::counter::MonotonicCounter::new(
-                    info,
-                    clock.clone(),
-                    read,
-                )) as Arc<dyn rpx_counters::Counter>)
-            }),
-            Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-                let base = CounterName::new("papi", event.papi_name());
-                f(base.reinstantiate(CounterInstance::total(locality)));
-                for d in 0..domains {
-                    f(base.reinstantiate(CounterInstance::worker(locality, d)));
-                }
-            })),
-        );
-    }
-}
-
-enum DomainSel {
-    Total,
-    One(usize),
-}
-
-fn domain_of(name: &CounterName, domains: usize) -> Result<DomainSel, CounterError> {
-    match &name.instance {
-        // Bare `/papi/<EVENT>` means the total, like HPX's default.
-        None => Ok(DomainSel::Total),
-        Some(inst) if inst.is_total() => Ok(DomainSel::Total),
-        Some(inst) => {
-            let worker = inst
-                .children
-                .iter()
-                .find(|c| c.name == "worker-thread")
-                .and_then(|c| match c.index {
-                    Some(InstanceIndex::At(i)) => Some(i as usize),
-                    _ => None,
-                })
-                .ok_or_else(|| {
-                    CounterError::UnknownInstance(format!(
-                        "`{name}`: expected total or worker-thread#N instance"
-                    ))
-                })?;
-            if worker >= domains {
-                return Err(CounterError::UnknownInstance(format!(
-                    "`{name}`: PMU has only {domains} domains"
-                )));
+        let pmu = pmu.clone();
+        let read = Source::Monotonic(Arc::new(move |domain| -> ValueFn {
+            let pmu = pmu.clone();
+            match domain {
+                None => Arc::new(move || pmu.read_total(event) as i64),
+                Some(d) => Arc::new(move || pmu.read(d, event) as i64),
             }
-            Ok(DomainSel::One(worker))
-        }
+        }));
+        let type_path = format!("/papi/{}", event.papi_name());
+        registry.register_scoped(&type_path, event.description(), "1", scope.clone(), read);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

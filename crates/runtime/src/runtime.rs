@@ -361,7 +361,10 @@ impl Runtime {
             registry: registry.clone(),
             pmu: pmu.clone(),
             shutdown: AtomicBool::new(false),
-            config: config.clone(),
+            config: RuntimeConfig {
+                workers,
+                ..config.clone()
+            },
             faults,
             gate,
             draining: AtomicBool::new(false),

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use rpx::counters::sampler::{MemorySink, Sampler, SamplerConfig};
-use rpx::counters::CounterName;
+use rpx::counters::{CounterInstance, CounterName};
 use rpx::runtime::{Runtime, RuntimeConfig};
 
 fn spawn_burst(rt: &Runtime, tasks: usize, spin: u64) {
@@ -291,5 +291,101 @@ fn value_cells_let_the_application_publish_metrics() {
     });
     f.get();
     assert_eq!(reg.evaluate("/app/iteration", false).unwrap().value, 49);
+    rt.shutdown();
+}
+
+/// The registration surface of a fresh 2-worker runtime: every advertised
+/// instance name, every counter type's (name, kind, unit, help), and which
+/// of five instance spellings each type accepts. Pins runtime, PAPI,
+/// core self-measurement and derived types, so a refactor of how types
+/// are registered cannot silently change what a client can name.
+///
+/// Each type line reads `path kind unit accepts help`, where `accepts`
+/// has one `+` (evaluates) or `-` (rejected) per form, in the order bare,
+/// `{locality#0/total}`, `worker-thread#0`, `worker-thread#1`,
+/// `worker-thread#2`.
+#[test]
+fn registration_surface_is_unchanged() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(2));
+    let reg = rt.registry();
+    let mut surface = String::new();
+    let mut names: Vec<String> = reg.discover_all().iter().map(|n| n.canonical()).collect();
+    names.sort();
+    for n in &names {
+        surface += &format!("instance {n}\n");
+    }
+    for info in reg.counter_types() {
+        let base: CounterName = info.name.parse().unwrap();
+        let forms = [
+            info.name.clone(),
+            base.reinstantiate(CounterInstance::total(0)).canonical(),
+            base.reinstantiate(CounterInstance::worker(0, 0))
+                .canonical(),
+            base.reinstantiate(CounterInstance::worker(0, 1))
+                .canonical(),
+            base.reinstantiate(CounterInstance::worker(0, 2))
+                .canonical(),
+        ];
+        let accepts: String = forms
+            .iter()
+            .map(|f| {
+                if reg.evaluate(f, false).is_ok() {
+                    '+'
+                } else {
+                    '-'
+                }
+            })
+            .collect();
+        surface += &format!(
+            "type {} {:?} {} {accepts} {}\n",
+            info.name, info.kind, info.unit, info.help
+        );
+    }
+    rt.shutdown();
+    let golden = include_str!("golden/registration_surface.txt");
+    for (i, (got, want)) in surface.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "registration surface differs at line {}", i + 1);
+    }
+    assert_eq!(
+        surface.lines().count(),
+        golden.lines().count(),
+        "registration surface has a different number of lines:\n{surface}"
+    );
+}
+
+/// `workers: 0` runs one worker; the runtime, its counters and discovery
+/// must all report that worker rather than the configured zero.
+#[test]
+fn zero_worker_config_reports_the_worker_it_runs() {
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 0,
+        ..RuntimeConfig::default()
+    });
+    assert_eq!(rt.spawn(|| 7).get(), 7);
+    assert_eq!(rt.workers(), 1);
+    let reg = rt.registry();
+    reg.evaluate(
+        "/threads{locality#0/worker-thread#0}/count/cumulative",
+        false,
+    )
+    .expect("worker 0 exists");
+    assert!(reg
+        .evaluate(
+            "/threads{locality#0/worker-thread#1}/count/cumulative",
+            false
+        )
+        .is_err());
+    let advertised: Vec<String> = reg
+        .discover_instances("/threads/count/cumulative")
+        .iter()
+        .map(|n| n.canonical())
+        .collect();
+    assert_eq!(
+        advertised,
+        [
+            "/threads{locality#0/total}/count/cumulative",
+            "/threads{locality#0/worker-thread#0}/count/cumulative",
+        ]
+    );
     rt.shutdown();
 }

@@ -69,6 +69,92 @@ proptest! {
     }
 }
 
+/// One of `tokens` (real name fragments), or — one time in
+/// `tokens.len() + 1` — junk over the name grammar's alphabet.
+fn fragment(tokens: &'static [&'static str]) -> impl Strategy<Value = String> {
+    (0..tokens.len() + 1, "[/{}#@,.*0-9a-z-]{0,6}")
+        .prop_map(move |(i, junk)| tokens.get(i).map_or(junk, |t| (*t).to_owned()))
+}
+
+/// Strings a scrape request or CLI flag could carry: the name grammar's
+/// object, instance, counter and `@child,args` slots, each filled with a
+/// real fragment or junk — including numeric tails such as `1e300` that
+/// overflow a naive allocation.
+fn external_counter_name() -> impl Strategy<Value = String> {
+    const OBJECTS: &[&str] = &[
+        "/threads",
+        "/runtime",
+        "/papi",
+        "/counters",
+        "/scheduler",
+        "/statistics",
+        "/arithmetics",
+    ];
+    const INSTANCES: &[&str] = &[
+        "",
+        "{locality#0/total}",
+        "{locality#0/worker-thread#1}",
+        "{locality#0/worker-thread#7}",
+        "{locality#0/worker-thread#*}",
+        "{",
+    ];
+    const COUNTERS: &[&str] = &[
+        "/count/cumulative",
+        "/time/average",
+        "/idle-rate",
+        "/health/overload-state",
+        "/slab/allocs",
+        "/uptime",
+        "/overhead/time",
+        "/LLC_MISSES",
+        "/median",
+        "/histogram",
+        "/rolling_average",
+        "/add",
+        "/divide",
+    ];
+    const CHILDREN: &[&str] = &[
+        "/threads{locality#0/total}/count/cumulative",
+        "/runtime{locality#0/worker-thread#0}/slab/allocs",
+        "/papi/LLC_MISSES",
+    ];
+    const ARGS: &[&str] = &["1e300", "1e12", "99999999999", "-1", "0", "4"];
+    (
+        fragment(OBJECTS),
+        fragment(INSTANCES),
+        fragment(COUNTERS),
+        proptest::option::of((
+            fragment(CHILDREN),
+            proptest::collection::vec(fragment(ARGS), 0..4),
+        )),
+    )
+        .prop_map(|(object, instance, counter, params)| {
+            let mut name = format!("{object}{instance}{counter}");
+            if let Some((child, args)) = params {
+                name += &format!("@{child}");
+                for a in args {
+                    name += &format!(",{a}");
+                }
+            }
+            name
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Any string from outside the process parses or resolves to `Ok` or
+    // `Err` against a live runtime — never a panic or an abort.
+    #[test]
+    fn external_counter_names_never_panic(name in external_counter_name()) {
+        static RUNTIME: std::sync::OnceLock<rpx::runtime::Runtime> = std::sync::OnceLock::new();
+        let rt = RUNTIME
+            .get_or_init(|| rpx::runtime::Runtime::new(rpx::runtime::RuntimeConfig::with_workers(2)));
+        let _ = name.parse::<CounterName>();
+        let _ = rt.registry().evaluate(&name, false);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Statistics counters vs. references
 // ---------------------------------------------------------------------
