@@ -20,8 +20,9 @@
 //!   `/threads/count/*`, `/threads/idle-rate`, `/scheduler/*`,
 //!   `/runtime/uptime`, `/runtime/health/*`, `/runtime/anomaly/*`,
 //!   `/runtime/trace/*`, `/papi/*`, `/synchronization/*`.
-//! - Fault tolerance: [`CancelToken`] cancellation/deadlines, a worker
-//!   watchdog + supervisor (stall and restart health counters), and a
+//! - Fault tolerance: [`CancelToken`] cancellation and deadlines
+//!   ([`CancelToken::with_deadline`] + [`Runtime::spawn_cancellable`]), a
+//!   worker watchdog + supervisor (stall and restart health counters), and a
 //!   deterministic fault-injection harness ([`FaultPlan`]) for chaos tests.
 //!
 //! ## Example

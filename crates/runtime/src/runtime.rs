@@ -81,11 +81,6 @@ pub struct RuntimeConfig {
     /// per-socket injector segments and hierarchical victim order from
     /// the placement.
     pub bind: BindSpec,
-    /// Task slots per worker slab (the allocation-free spawn path).
-    /// `0` disables slabs (every spawn takes the heap fallback). Slots
-    /// are 128-byte-aligned cells of a few hundred bytes, so the default
-    /// costs on the order of 1–2 MiB per worker.
-    pub slab_slots: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -114,7 +109,6 @@ impl Default for RuntimeConfig {
             restart_backoff_max: Duration::from_millis(100),
             topology: None,
             bind: BindSpec::None,
-            slab_slots: 4096,
         }
     }
 }
@@ -211,8 +205,8 @@ pub(crate) struct RuntimeInner {
     // Field order is load-bearing: `scheduler` (and its queues, which may
     // hold `SlabSlotRef`s) must drop before `slabs` does.
     pub scheduler: Scheduler,
-    /// Per-worker task slabs (the allocation-free spawn path). Indexed by
-    /// worker; sized by `config.slab_slots` (possibly 0 slots).
+    /// Per-worker task slabs (the allocation-free spawn path), indexed by
+    /// worker, [`slab::SLOTS`](crate::slab::SLOTS) slots each.
     pub slabs: Vec<Arc<Slab>>,
     /// Worker→hardware-thread placement (all `None` under
     /// [`BindSpec::None`]); workers pin themselves on loop entry.
@@ -353,7 +347,7 @@ impl Runtime {
         let inner = Arc::new(RuntimeInner {
             scheduler: Scheduler::with_topology(workers, config.mode, &worker_sockets),
             slabs: (0..workers)
-                .map(|i| Arc::new(Slab::new(i, config.slab_slots)))
+                .map(|i| Arc::new(Slab::new(i, crate::slab::SLOTS)))
                 .collect(),
             placement,
             fallback_allocs: AtomicU64::new(0),
@@ -443,7 +437,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_with(LaunchPolicy::Async, f)
+        self.target().spawn(LaunchPolicy::Async, None, f)
     }
 
     /// Spawn with an explicit launch policy.
@@ -453,9 +447,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let spawner = worker::context_for(&self.inner);
-        spawn_inner(&self.inner, spawner, policy, site, f, None)
+        self.target().spawn(policy, None, f)
     }
 
     /// Fallible spawn (`Async` policy): fails fast — never blocks, never
@@ -469,41 +461,32 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        try_spawn_inner(&self.inner, worker::context_for(&self.inner), site, f, None)
+        self.target().submit(LaunchPolicy::Async, None, true, f)
     }
 
     /// Spawn a task bound to `token`: if the token is cancelled before the
     /// task is dispatched, the body never runs, the future completes in the
     /// cancelled state ([`TaskFuture::get`] re-raises
     /// [`TaskCancelled`](crate::TaskCancelled)), and the worker's
-    /// `/runtime/health/cancelled-tasks` counter increments.
+    /// `/runtime/health/cancelled-tasks` counter increments. A
+    /// [`CancelToken::with_deadline`] token also cancels it if it is late.
     #[track_caller]
     pub fn spawn_cancellable<T, F>(&self, token: &CancelToken, f: F) -> TaskFuture<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let (spawner, token) = (worker::context_for(&self.inner), Some(token.clone()));
-        spawn_inner(&self.inner, spawner, LaunchPolicy::Async, site, f, token)
+        self.target()
+            .spawn(LaunchPolicy::Async, Some(token.clone()), f)
     }
 
-    /// Spawn a task that auto-cancels if not dispatched within `deadline`.
-    /// Returns the future and the deadline token (for explicit earlier
-    /// cancellation or body-side polling).
-    #[track_caller]
-    pub fn spawn_with_deadline<T, F>(
-        &self,
-        deadline: Duration,
-        f: F,
-    ) -> (TaskFuture<T>, CancelToken)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let token = CancelToken::with_deadline(deadline);
-        (self.spawn_cancellable(&token, f), token)
+    /// Where a spawn through this runtime lands: its own strong reference
+    /// (no refcount traffic) and the caller's worker identity in it.
+    fn target(&self) -> SpawnTarget<'_> {
+        SpawnTarget {
+            inner: Cow::Borrowed(&self.inner),
+            spawner: worker::context_for(&self.inner),
+        }
     }
 
     /// The active fault injector, if this runtime was configured with an
@@ -534,7 +517,8 @@ impl Runtime {
         self.inner.config.workers
     }
 
-    /// Index of the calling worker thread, if it is one of this runtime's.
+    /// Index of the calling worker thread among its own runtime's workers,
+    /// for a worker of any runtime, not only this one.
     pub fn current_worker() -> Option<usize> {
         worker::current_worker_index()
     }
@@ -700,39 +684,47 @@ pub(crate) fn current_task_id() -> Option<u64> {
     (id != u64::MAX).then_some(id)
 }
 
-/// Weak, cloneable handle to a [`Runtime`], usable from inside tasks.
+/// Weak, cloneable handle to a [`Runtime`], usable from inside tasks. Its
+/// infallible spawns panic once the runtime has been dropped.
 #[derive(Clone)]
 pub struct RuntimeHandle {
     inner: Weak<RuntimeInner>,
 }
 
 impl RuntimeHandle {
-    /// The runtime behind this handle and the caller's worker identity in
-    /// it: a worker of this runtime borrows its loop's own reference (no
-    /// refcount traffic), any other thread upgrades the `Weak`, panicking
-    /// if the runtime has been dropped.
-    fn resolve(&self) -> (Cow<'_, Arc<RuntimeInner>>, Option<worker::WorkerRef>) {
-        // SAFETY: every caller is a spawn method that drops the borrow
+    /// Where a spawn through this handle lands: a worker of this runtime
+    /// borrows its loop's own reference (no refcount traffic), any other
+    /// thread upgrades the `Weak`. `None` once the runtime is dropped.
+    fn target(&self) -> Option<SpawnTarget<'_>> {
+        // SAFETY: every caller is a spawn method that drops the target
         // before it returns.
         if let Some((inner, w)) = unsafe { worker::borrow_runtime(self.inner.as_ptr()) } {
-            return (Cow::Borrowed(inner), Some(w));
+            return Some(SpawnTarget {
+                inner: Cow::Borrowed(inner),
+                spawner: Some(w),
+            });
         }
-        let msg = "RuntimeHandle used after Runtime was dropped";
-        (Cow::Owned(self.inner.upgrade().expect(msg)), None)
+        self.inner.upgrade().map(|inner| SpawnTarget {
+            inner: Cow::Owned(inner),
+            spawner: None,
+        })
+    }
+
+    /// The target of an infallible spawn.
+    #[track_caller]
+    fn live_target(&self) -> SpawnTarget<'_> {
+        self.target()
+            .expect("RuntimeHandle used after Runtime was dropped")
     }
 
     /// Spawn with the default (`Async`) policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime has been dropped.
     #[track_caller]
     pub fn spawn<T, F>(&self, f: F) -> TaskFuture<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_with(LaunchPolicy::Async, f)
+        self.live_target().spawn(LaunchPolicy::Async, None, f)
     }
 
     /// Spawn with an explicit launch policy.
@@ -742,25 +734,22 @@ impl RuntimeHandle {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let (inner, spawner) = self.resolve();
-        spawn_inner(&inner, spawner, policy, site, f, None)
+        self.live_target().spawn(policy, None, f)
     }
 
-    /// Fallible spawn; see [`Runtime::try_spawn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime has been dropped.
+    /// Fallible spawn; see [`Runtime::try_spawn`]. It does not panic on a
+    /// dropped runtime, which will never queue work again: it fails with
+    /// [`SpawnError::Draining`].
     #[track_caller]
     pub fn try_spawn<T, F>(&self, f: F) -> Result<TaskFuture<T>, SpawnError<F>>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let (inner, spawner) = self.resolve();
-        try_spawn_inner(&inner, spawner, site, f, None)
+        match self.target() {
+            Some(target) => target.submit(LaunchPolicy::Async, None, true, f),
+            None => Err(SpawnError::Draining(f)),
+        }
     }
 
     /// Spawn a task bound to `token`; see [`Runtime::spawn_cancellable`].
@@ -770,25 +759,8 @@ impl RuntimeHandle {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
-        let (inner, spawner) = self.resolve();
-        let token = Some(token.clone());
-        spawn_inner(&inner, spawner, LaunchPolicy::Async, site, f, token)
-    }
-
-    /// Spawn with a dispatch deadline; see [`Runtime::spawn_with_deadline`].
-    #[track_caller]
-    pub fn spawn_with_deadline<T, F>(
-        &self,
-        deadline: Duration,
-        f: F,
-    ) -> (TaskFuture<T>, CancelToken)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let token = CancelToken::with_deadline(deadline);
-        (self.spawn_cancellable(&token, f), token)
+        self.live_target()
+            .spawn(LaunchPolicy::Async, Some(token.clone()), f)
     }
 }
 
@@ -1082,24 +1054,40 @@ fn backoff_sleep(inner: &Arc<RuntimeInner>, stats: &WorkerStats, backoff: Durati
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// How an `Async`-policy spawn may proceed past the admission gate.
+/// How a spawn that wants a queue proceeds past admission.
 enum Admit {
     /// Queue the task; `Some` means it holds an admission slot.
     Queue(Option<Arc<AdmissionGate>>),
-    /// Run inline in the caller (gate closed and the policy degrades, or
-    /// the runtime is draining).
+    /// Run the task inline in the caller: an infallible spawn the runtime
+    /// will not queue.
     Inline,
+    /// Refuse a fallible spawn: the admission gate is closed.
+    Overloaded,
+    /// Refuse a fallible spawn: the runtime is draining.
+    Draining,
 }
 
-fn admit_for_queue(inner: &Arc<RuntimeInner>) -> Admit {
+/// The admission decision for a spawn that wants a queue: draining first,
+/// then a slot from the gate, then the overload policy. A `fallible`
+/// spawn the runtime will not queue is refused (and counted as shed at a
+/// closed gate); an infallible one parks for a slot or runs inline.
+fn admit(inner: &RuntimeInner, fallible: bool) -> Admit {
     if inner.draining.load(Ordering::SeqCst) {
-        return Admit::Inline;
+        return if fallible {
+            Admit::Draining
+        } else {
+            Admit::Inline
+        };
     }
     let Some(gate) = &inner.gate else {
         return Admit::Queue(None);
     };
     if gate.try_admit() {
         return Admit::Queue(Some(gate.clone()));
+    }
+    if fallible {
+        gate.note_shed();
+        return Admit::Overloaded;
     }
     match inner.config.overload_policy {
         // Backpressure — but only external threads may park: a *worker*
@@ -1256,76 +1244,72 @@ fn begin_spawn(inner: &RuntimeInner, spawner: Option<worker::WorkerRef>) -> u64 
     }
 }
 
-/// `spawner` is the caller's identity among `inner`'s workers
-/// ([`worker::context_for`]): a worker of runtime A spawning into runtime
-/// B is an external spawner to B and must not index B's stats or slabs
-/// with A's worker index.
-fn spawn_inner<T, F>(
-    inner: &Arc<RuntimeInner>,
+/// Where a spawn lands: the runtime, borrowed when the caller holds a
+/// strong reference already, and the caller's identity among its workers.
+/// A worker of runtime A is an external spawner to runtime B and must not
+/// index B's stats or slabs with A's worker index.
+struct SpawnTarget<'a> {
+    inner: Cow<'a, Arc<RuntimeInner>>,
     spawner: Option<worker::WorkerRef>,
-    policy: LaunchPolicy,
-    site: u32,
-    f: F,
-    token: Option<CancelToken>,
-) -> TaskFuture<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let task_id = begin_spawn(inner, spawner);
-    let run_inline = |f: F, token: Option<CancelToken>| {
-        let now = inner.state.clock.now_ns();
-        let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, now));
-        cell.run_body(spawner.map(|w| w.index), now);
-        TaskFuture::from_core(cell)
-    };
-    match policy {
-        LaunchPolicy::Sync => run_inline(f, token),
-        // Continuation-stealing approximation: the child runs now, on this
-        // worker, with no queue round-trip (see LaunchPolicy::Fork).
-        LaunchPolicy::Fork if spawner.is_some() => run_inline(f, token),
-        LaunchPolicy::Deferred => {
-            let now = inner.state.clock.now_ns();
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, now));
-            let c2 = cell.clone();
-            cell.shared.set_deferred(Box::new(move || c2.run_here()));
-            TaskFuture::from_core(cell)
-        }
-        LaunchPolicy::Async | LaunchPolicy::Fork => match admit_for_queue(inner) {
-            Admit::Queue(gate) => queue_task(inner, task_id, site, f, token, spawner, gate),
-            Admit::Inline => run_inline(f, token),
-        },
-    }
 }
 
-/// The fallible spawn path: admission failure is the caller's problem —
-/// the closure comes back inside the error.
-fn try_spawn_inner<T, F>(
-    inner: &Arc<RuntimeInner>,
-    spawner: Option<worker::WorkerRef>,
-    site: u32,
-    f: F,
-    token: Option<CancelToken>,
-) -> Result<TaskFuture<T>, SpawnError<F>>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    if inner.draining.load(Ordering::SeqCst) {
-        return Err(SpawnError::Draining(f));
-    }
-    let gate = match &inner.gate {
-        Some(gate) => {
-            if !gate.try_admit() {
-                gate.note_shed();
-                return Err(SpawnError::Overloaded(f));
-            }
-            Some(gate.clone())
+impl SpawnTarget<'_> {
+    /// An infallible spawn: admission queues it, parks the caller for a
+    /// slot, or runs it inline, but never refuses it.
+    #[track_caller]
+    fn spawn<T, F>(self, policy: LaunchPolicy, token: Option<CancelToken>, f: F) -> TaskFuture<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        match self.submit(policy, token, false, f) {
+            Ok(future) => future,
+            Err(_) => unreachable!("admission never refuses an infallible spawn"),
         }
-        None => None,
-    };
-    let task_id = begin_spawn(inner, spawner);
-    Ok(queue_task(inner, task_id, site, f, token, spawner, gate))
+    }
+
+    /// The one spawn path. A task that wants a queue passes [`admit`]
+    /// before it takes a task id, so a refused (`fallible`) spawn is never
+    /// counted as spawned. Every other task runs inline, or waits for its
+    /// getter (`Deferred`).
+    #[track_caller]
+    fn submit<T, F>(
+        self,
+        policy: LaunchPolicy,
+        token: Option<CancelToken>,
+        fallible: bool,
+        f: F,
+    ) -> Result<TaskFuture<T>, SpawnError<F>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let site = crate::trace::site_id(std::panic::Location::caller());
+        let (inner, spawner) = (&*self.inner, self.spawner);
+        // A worker's `Fork` child runs now, on this worker, with no queue
+        // round-trip (the continuation-stealing approximation).
+        let wants_queue =
+            policy == LaunchPolicy::Async || (policy == LaunchPolicy::Fork && spawner.is_none());
+        let queue = match wants_queue.then(|| admit(inner, fallible)) {
+            Some(Admit::Queue(slot)) => Some(slot),
+            Some(Admit::Inline) | None => None,
+            Some(Admit::Overloaded) => return Err(SpawnError::Overloaded(f)),
+            Some(Admit::Draining) => return Err(SpawnError::Draining(f)),
+        };
+        let task_id = begin_spawn(inner, spawner);
+        if let Some(slot) = queue {
+            return Ok(queue_task(inner, task_id, site, f, token, spawner, slot));
+        }
+        let now = inner.state.clock.now_ns();
+        let cell = Arc::new(TaskCell::new(inner, task_id, site, f, token, now));
+        if policy == LaunchPolicy::Deferred {
+            let c2 = cell.clone();
+            cell.shared.set_deferred(Box::new(move || c2.run_here()));
+        } else {
+            cell.run_body(spawner.map(|w| w.index), now);
+        }
+        Ok(TaskFuture::from_core(cell))
+    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,10 @@ const NIL: usize = usize::MAX;
 pub(crate) const PAYLOAD_BYTES: usize = 128;
 pub(crate) const PAYLOAD_ALIGN: usize = 16;
 
+/// Slots per worker slab: 128-byte-aligned cells of a few hundred bytes,
+/// so on the order of 1–2 MiB per worker.
+pub(crate) const SLOTS: usize = 4096;
+
 // Lifecycle bits.
 const CLAIMED: u8 = 1;
 const RUNNER_DONE: u8 = 2;

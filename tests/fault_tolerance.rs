@@ -282,7 +282,8 @@ fn deadline_cancels_task_not_dispatched_in_time() {
     // Keep the only worker busy past the deadline.
     let blocker = rt.spawn(|| std::thread::sleep(Duration::from_millis(150)));
     let started = Instant::now();
-    let (fut, token) = rt.spawn_with_deadline(Duration::from_millis(30), || 1);
+    let token = CancelToken::with_deadline(Duration::from_millis(30));
+    let fut = rt.spawn_cancellable(&token, || 1);
     assert!(token.deadline().is_some());
 
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || fut.get()))
