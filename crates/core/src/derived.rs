@@ -16,7 +16,7 @@ use std::sync::Arc;
 use crate::counter::Counter;
 use crate::error::CounterError;
 use crate::name::CounterName;
-use crate::registry::CounterRegistry;
+use crate::registry::{CounterRegistry, OnFailure};
 use crate::value::{CounterInfo, CounterKind, CounterStatus, CounterValue};
 
 /// Split a parameter string into child specifications.
@@ -174,9 +174,8 @@ pub fn register_arithmetics(registry: &Arc<CounterRegistry>) {
                 let mut children = Vec::with_capacity(child_names.len());
                 for cn in &child_names {
                     let parsed: CounterName = cn.parse()?;
-                    for concrete in reg.expand(&parsed)? {
-                        children.push(reg.get_counter(&concrete)?);
-                    }
+                    let resolved = reg.resolve(&parsed, OnFailure::Fail)?;
+                    children.extend(resolved.into_iter().map(|h| h.counter));
                 }
                 let info = CounterInfo::new(
                     name.canonical(),

@@ -150,7 +150,6 @@ struct Shard {
 pub struct ScrapeEngine {
     registry: Arc<CounterRegistry>,
     query: Mutex<ResolvedQuery>,
-    by_name: Mutex<HashMap<String, Arc<ExportEntry>>>,
     shards: Vec<Shard>,
     /// Topology generation the shard lists were built against.
     generation: AtomicU64,
@@ -179,7 +178,6 @@ impl ScrapeEngine {
             registry: registry.clone(),
             generation: AtomicU64::new(query.generation()),
             query: Mutex::new(query),
-            by_name: Mutex::new(HashMap::new()),
             shards: (0..shards.max(1))
                 .map(|_| Shard {
                     entries: RwLock::new(Arc::new(Vec::new())),
@@ -221,16 +219,26 @@ impl ScrapeEngine {
         self.generation
             .store(self.registry.generation(), Ordering::Release);
         query.refresh();
-        let mut by_name = self.by_name.lock();
-        let mut fresh: HashMap<String, Arc<ExportEntry>> = HashMap::new();
+        // The current entries, indexed by their own canonical names (the
+        // query lock serializes rebuilds, so these lists are the latest).
+        let old: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.entries.read().clone())
+            .collect();
+        let mut by_name: HashMap<&str, &Arc<ExportEntry>> = old
+            .iter()
+            .flat_map(|list| list.iter())
+            .map(|e| (e.canonical.as_str(), e))
+            .collect();
         let mut shard_lists: Vec<Vec<Arc<ExportEntry>>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut created = false;
         for h in query.handles() {
-            let entry = match by_name.remove(&h.canonical) {
+            let entry = match by_name.remove(h.canonical.as_str()) {
                 Some(e) => {
                     *e.counter.write() = h.counter.clone();
-                    e
+                    e.clone()
                 }
                 None => {
                     created = true;
@@ -246,12 +254,10 @@ impl ScrapeEngine {
                     })
                 }
             };
-            shard_lists[shard_of(&h.canonical, self.shards.len())].push(entry.clone());
-            fresh.insert(h.canonical.clone(), entry);
+            shard_lists[shard_of(&h.canonical, self.shards.len())].push(entry);
         }
         // Whatever is left in the old index resolved to nothing anymore.
         let changed = created || !by_name.is_empty();
-        *by_name = fresh;
         for (shard, list) in self.shards.iter().zip(shard_lists) {
             *shard.entries.write() = Arc::new(list);
         }

@@ -18,10 +18,15 @@ fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,12}".prop_map(|s| s)
 }
 
+/// A plain part, a small or any `u32` index (`u32::MAX` included), or the
+/// `#*` wildcard.
 fn instance_part() -> impl Strategy<Value = InstancePart> {
-    (ident(), proptest::option::of(0u32..64)).prop_map(|(name, idx)| match idx {
-        Some(i) => InstancePart::indexed(name, i),
-        None => InstancePart::plain(name),
+    (ident(), 0u32..5, 0u32..=u32::MAX).prop_map(|(name, kind, i)| match kind {
+        0 => InstancePart::plain(name),
+        1 => InstancePart::indexed(name, i % 64),
+        2 => InstancePart::indexed(name, i),
+        3 => InstancePart::indexed(name, u32::MAX),
+        _ => InstancePart::wildcard(name),
     })
 }
 
@@ -55,7 +60,8 @@ proptest! {
         let rendered = name.to_string();
         let parsed: CounterName = rendered.parse().expect("rendered names parse");
         prop_assert_eq!(&parsed, &name);
-        prop_assert_eq!(parsed.to_string(), rendered);
+        prop_assert_eq!(parsed.to_string(), rendered.clone());
+        prop_assert_eq!(name.canonical(), rendered);
     }
 
     #[test]
